@@ -4,7 +4,6 @@ from repro.datasets.arff import load_arff, save_arff
 from repro.datasets.cache import (
     CacheStats,
     SampleSetCache,
-    cached_generate,
     format_cache_stats,
     generation_digest,
 )
@@ -16,7 +15,6 @@ __all__ = [
     "CacheStats",
     "SampleSet",
     "SampleSetCache",
-    "cached_generate",
     "format_cache_stats",
     "generation_digest",
     "load_arff",

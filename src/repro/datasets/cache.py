@@ -7,22 +7,16 @@ collector and noise parameters, cost model identity).  Repeated CLI
 invocations, experiment batteries and parallel workers then generate
 each distinct dataset exactly once.
 
-Two layers:
-
-* :class:`SampleSetCache` — the preferred interface: an in-process
-  digest-keyed table backed by an optional on-disk ``.npz`` store that
-  can be shared between processes (writes are atomic, so concurrent
-  workers race benignly).
-* :func:`cached_generate` — the original single-shot CSV helper, kept
-  for scripts that want human-readable cache entries.
+:class:`SampleSetCache` is an in-process digest-keyed table backed by
+an optional on-disk ``.npz`` store that can be shared between processes
+(writes are atomic, so concurrent workers race benignly).
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional, Union
@@ -30,7 +24,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Union
 import numpy as np
 
 from repro.datasets.dataset import SampleSet
-from repro.datasets.io import load_csv, save_csv
+from repro.durable import atomic_write
 from repro.obs.metrics import counter
 
 if TYPE_CHECKING:  # avoid a layering inversion at runtime
@@ -39,7 +33,6 @@ if TYPE_CHECKING:  # avoid a layering inversion at runtime
 
 __all__ = [
     "generation_digest",
-    "cached_generate",
     "CacheStats",
     "format_cache_stats",
     "SampleSetCache",
@@ -107,49 +100,17 @@ def generation_digest(
     return hashlib.sha256(text.encode()).hexdigest()[:24]
 
 
-def cached_generate(
-    suite: "Suite",
-    config: "SuiteGenerationConfig",
-    cache_dir: Union[str, Path],
-    engine: Optional["ExecutionEngine"] = None,
-) -> SampleSet:
-    """Generate through a disk cache.
-
-    On a hit the CSV is loaded; on a miss the suite is generated,
-    written, then returned.  Corrupt cache entries are regenerated.
-    """
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    digest = generation_digest(suite, config, engine)
-    path = cache_dir / f"{suite.name.replace(' ', '_')}-{digest}.csv"
-    if path.exists():
-        try:
-            return load_csv(path)
-        except (ValueError, OSError):
-            path.unlink(missing_ok=True)
-    data = suite.generate(config, engine=engine)
-    save_csv(data, path)
-    return data
-
-
 def _save_npz(data: SampleSet, path: Path) -> None:
     """Atomically write a SampleSet as a compressed-free ``.npz``."""
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.stem, suffix=".tmp"
+    buffer = io.BytesIO()
+    np.savez(
+        buffer,
+        feature_names=np.asarray(data.feature_names, dtype=str),
+        X=data.X,
+        y=data.y,
+        benchmarks=data.benchmarks.astype(str),
     )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez(
-                handle,
-                feature_names=np.asarray(data.feature_names, dtype=str),
-                X=data.X,
-                y=data.y,
-                benchmarks=data.benchmarks.astype(str),
-            )
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
+    atomic_write(path, buffer.getbuffer())
 
 
 def _load_npz(path: Path) -> SampleSet:

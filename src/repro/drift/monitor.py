@@ -32,7 +32,6 @@ callable of one :class:`DriftEvent` plugs in the same way.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import sys
 import threading
@@ -50,6 +49,7 @@ from repro.drift.stats import (
     build_detectors,
 )
 from repro.drift.window import StreamWindow
+from repro.durable import append_jsonl
 from repro.obs.metrics import counter, gauge
 from repro.stats.transfer import SampleMoments
 
@@ -224,8 +224,7 @@ class JsonlAudit:
         self.path = path
 
     def __call__(self, event: DriftEvent) -> None:
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(event.as_dict()) + "\n")
+        append_jsonl(self.path, event.as_dict())
 
 
 class RetrainTrigger:

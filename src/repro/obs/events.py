@@ -38,6 +38,9 @@ file instead of scribbling over the parent's.  :func:`read_events`
 merges the per-PID siblings of a base path (plus all their rotation
 backups) into one timeline ordered by the ``unix`` stamp, so readers
 never need to know how many processes wrote.
+
+Files follow :mod:`repro.durable`'s commit rule (a crash loses the
+unflushed batch); opening one cuts any torn final line first.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
+from repro.durable import locked_append, read_jsonl
 from repro.obs.metrics import counter
 
 __all__ = ["EventLog", "read_events", "EVENTS_SCHEMA_VERSION"]
@@ -105,16 +109,20 @@ class EventLog:
         self.backups = backups
         self._clock = clock
         self._lock = threading.Lock()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = open(self.path, "a", encoding="utf-8")
-        self._bytes = self.path.stat().st_size
         self.written = 0
         self.rotations = 0
-        self._pending = 0
-        self._last_flush = time.monotonic()
         self._timer: Any = None
+        self._open()
 
     # -- writing ---------------------------------------------------------
+
+    def _open(self) -> None:
+        """(Re)open ``self.path`` for appending, cutting any torn tail."""
+        with locked_append(self.path):
+            self._handle = open(self.path, "a", encoding="utf-8")
+        self._bytes = self.path.stat().st_size
+        self._pending = 0
+        self._last_flush = time.monotonic()
 
     def _rehome_after_fork(self) -> None:
         """Move a forked child onto its own per-PID file.
@@ -141,10 +149,7 @@ class EventLog:
                     self._handle.close()
                 except OSError:
                     pass
-            self._handle = open(self.path, "a", encoding="utf-8")
-            self._bytes = self.path.stat().st_size
-            self._pending = 0
-            self._last_flush = time.monotonic()
+            self._open()
 
     def append(self, record: Dict[str, Any]) -> None:
         """Serialize one record and append it (rotating first if needed)."""
@@ -209,10 +214,7 @@ class EventLog:
                         self.path.with_name(f"{self.path.name}.{index + 1}"),
                     )
             os.replace(self.path, self.path.with_name(f"{self.path.name}.1"))
-        self._handle = open(self.path, "a", encoding="utf-8")
-        self._bytes = 0
-        self._pending = 0
-        self._last_flush = time.monotonic()
+        self._open()
         self.rotations += 1
         _ROTATIONS.inc()
 
@@ -277,21 +279,6 @@ def _chain_candidates(path: Path, include_backups: bool) -> List[Path]:
     return candidates
 
 
-def _parse_file(path: Path, records: List[Dict[str, Any]]) -> None:
-    if not path.exists():
-        return
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(record, dict):
-            records.append(record)
-
-
 def read_events(
     path: Union[str, Path],
     include_backups: bool = True,
@@ -313,7 +300,7 @@ def read_events(
     path = Path(path)
     records: List[Dict[str, Any]] = []
     for candidate in _chain_candidates(path, include_backups):
-        _parse_file(candidate, records)
+        records.extend(read_jsonl(candidate)[0])
     siblings = sorted(
         p
         for p in path.parent.glob(f"{path.stem}.pid-*{path.suffix}")
@@ -323,7 +310,7 @@ def read_events(
         return records
     for sibling in siblings:
         for candidate in _chain_candidates(sibling, include_backups):
-            _parse_file(candidate, records)
+            records.extend(read_jsonl(candidate)[0])
     # One timeline across processes: the per-file streams are already
     # oldest-first, so a stable sort on the stamp keeps same-instant
     # records in their per-file order.

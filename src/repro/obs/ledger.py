@@ -34,13 +34,13 @@ fails the bench suite the same way a broken test would.
 
 from __future__ import annotations
 
-import json
 import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
+from repro.durable import append_jsonl, read_jsonl
 from repro.obs.manifest import build_info
 from repro.obs.metrics import counter
 
@@ -92,11 +92,9 @@ def _manifest_lite() -> Dict[str, Any]:
 class PerfLedger:
     """One append-only JSONL file of benchmark headline metrics.
 
-    Appends are atomic at the line level (single ``write`` of one
-    ``\\n``-terminated line on a file opened in append mode); reads
-    tolerate a truncated final line — the torn tail is skipped and
-    counted on ``obs.ledger.read_errors``, matching the event log's
-    crash-tolerance posture.
+    Appends and reads go through :mod:`repro.durable`; reads skip
+    lines that are not entries (a crashed writer's torn tail) and
+    count them on ``obs.ledger.read_errors``.
     """
 
     def __init__(self, path: Union[str, Path] = DEFAULT_LEDGER_PATH) -> None:
@@ -122,27 +120,17 @@ class PerfLedger:
         }
         if meta:
             record["meta"] = meta
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        append_jsonl(self.path, record)
         _APPENDS.inc()
         return record
 
     def entries(self, bench: Optional[str] = None) -> List[Dict[str, Any]]:
         """All parseable entries, oldest first, optionally one bench."""
-        if not self.path.exists():
-            return []
+        records, bad = read_jsonl(self.path)
+        _READ_ERRORS.inc(len(bad))
         out: List[Dict[str, Any]] = []
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                _READ_ERRORS.inc()
-                continue
-            if not isinstance(record, dict) or "bench" not in record:
+        for record in records:
+            if "bench" not in record:
                 _READ_ERRORS.inc()
                 continue
             if bench is None or record["bench"] == bench:

@@ -8,9 +8,10 @@ figures, followed by the run's top metrics.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
+
+from repro.durable import read_jsonl
 
 __all__ = [
     "read_trace",
@@ -33,32 +34,19 @@ def read_trace(
     instead of raised.  Malformed content anywhere else is still a
     ``ValueError``: it means the file is not a trace at all.
     """
+    if not Path(path).is_file():
+        raise FileNotFoundError(f"{path}: no such trace file")
+    records, bad = read_jsonl(path)
+    if bad:
+        # Tolerable only as the one line after every record.
+        if not records or bad != [len(records) + 1]:
+            raise ValueError(f"{path}:{bad[0]}: not valid JSON")
+        if warnings is not None:
+            warnings.append(f"ignored truncated final line {bad[0]}")
     manifest: Optional[Dict[str, Any]] = None
     spans: List[Dict[str, Any]] = []
     metrics: List[Dict[str, Any]] = []
-    lines = Path(path).read_text().splitlines()
-    last_content = max(
-        (i for i, line in enumerate(lines, start=1) if line.strip()),
-        default=0,
-    )
-    parsed = 0
-    for line_number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            if line_number == last_content and parsed > 0:
-                if warnings is not None:
-                    warnings.append(
-                        f"ignored truncated final line {line_number}"
-                    )
-                break
-            raise ValueError(
-                f"{path}:{line_number}: not valid JSON ({error})"
-            ) from None
-        parsed += 1
+    for line_number, record in enumerate(records, start=1):
         kind = record.get("type")
         if kind == "manifest":
             manifest = record

@@ -1,21 +1,20 @@
 """Crash-safe journal of the orchestrator's current state.
 
-One small JSON document, rewritten atomically (tempfile +
-``os.replace``) on every state change.  A restarted orchestrator reads
-it to decide whether the previous process died mid-cycle and what to
-do about it — resume shadowing, abort a half-done retrain, or
-reconcile a promotion that may or may not have landed (see
-``PipelineOrchestrator._resume``).
+One small JSON document, rewritten atomically (:mod:`repro.durable`)
+on every state change.  A restarted orchestrator reads it to decide
+whether the previous process died mid-cycle and what to do about it —
+resume shadowing, abort a half-done retrain, or reconcile a promotion
+that may or may not have landed (see ``PipelineOrchestrator._resume``).
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
+
+from repro.durable import atomic_write
 
 __all__ = ["JOURNAL_SCHEMA", "PipelineJournal"]
 
@@ -41,17 +40,9 @@ class PipelineJournal:
             "note": note,
             "unix_time": time.time(),
         }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.path.parent), prefix=self.path.name, suffix=".tmp"
+        atomic_write(
+            self.path, json.dumps(payload, sort_keys=True, indent=2).encode()
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(payload, sort_keys=True, indent=2))
-            os.replace(tmp, self.path)
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
         return payload
 
     def read(self) -> Optional[Dict[str, Any]]:

@@ -54,12 +54,17 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Optional
 
 from repro.drift.monitor import DriftEvent, DriftVerdict, RetrainTrigger
+from repro.durable import read_jsonl
 from repro.mtree.tree import ModelTree, ModelTreeConfig
 from repro.obs.metrics import counter, gauge
 from repro.obs.trace import span as obs_span
 from repro.pipeline.buffer import TrafficBuffer
 from repro.pipeline.journal import PipelineJournal
-from repro.pipeline.promotions import PromotionLog, perform_rollback
+from repro.pipeline.promotions import (
+    PromotionChainError,
+    PromotionLog,
+    perform_rollback,
+)
 from repro.serve.registry import ModelNotFound
 
 __all__ = ["PipelineState", "PipelineConfig", "PipelineOrchestrator"]
@@ -527,7 +532,12 @@ class PipelineOrchestrator:
             # The flip may or may not have landed; the registry knows.
             current = self._champion_id()
             if current == candidate:
-                last = self.promotions.last_entry(alias=self.config.alias)
+                try:
+                    last = self.promotions.last_entry(alias=self.config.alias)
+                except PromotionChainError:
+                    # A torn final entry never committed; append() cuts
+                    # it, and raises if any other line is bad.
+                    last = None
                 if not (last and last.get("to") == candidate):
                     # Alias flipped but the trail write was lost:
                     # record a recovery entry so the trail stays the
@@ -587,13 +597,12 @@ class PipelineOrchestrator:
             pending_retry = self._pending_retry
             keep_streak = self._keep_streak
             shadow_records = self._shadow_records
+        entries, _ = read_jsonl(self.promotions.path)  # even if broken
         try:
-            chain_length = self.promotions.verify()
+            self.promotions.verify()
             chain_valid = True
-        except Exception:
-            chain_length = len(self.promotions.entries())
+        except PromotionChainError:
             chain_valid = False
-        tail = self.promotions.entries()[-5:]
         return {
             "armed": True,
             "state": state.value,
@@ -621,9 +630,9 @@ class PipelineOrchestrator:
             },
             "promotions": {
                 "path": str(self.promotions.path),
-                "entries": chain_length,
+                "entries": len(entries),
                 "chain_valid": chain_valid,
-                "tail": tail,
+                "tail": entries[-5:],
             },
             "journal": str(self.journal.path),
         }

@@ -15,6 +15,10 @@ why": ``repro promotions`` prints it, ``repro rollback`` derives its
 default target from it, and ``repro registry gc`` treats every model
 id it mentions as reachable (so a rollback target can never be
 collected).
+
+The file follows :mod:`repro.durable`'s commit rule.  Only
+:meth:`PromotionLog.append` cuts a torn final entry, under the file
+lock and before it reads the chain; the read paths raise on it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
+
+from repro.durable import locked_append, read_jsonl
 
 __all__ = [
     "PROMOTIONS_SCHEMA",
@@ -72,7 +78,7 @@ class PromotionLog:
         actor: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Record one alias flip; returns the appended entry."""
-        with self._lock:
+        with self._lock, locked_append(self.path) as write:
             tail = self._entries_unlocked()
             prev_hash = tail[-1]["hash"] if tail else GENESIS_HASH
             entry: Dict[str, Any] = {
@@ -90,31 +96,17 @@ class PromotionLog:
                 "prev_hash": prev_hash,
             }
             entry["hash"] = _entry_hash(entry)
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
-                handle.flush()
+            write(entry)
         return entry
 
     # -- reading ---------------------------------------------------------
 
     def _entries_unlocked(self) -> List[Dict[str, Any]]:
-        if not self.path.is_file():
-            return []
-        entries: List[Dict[str, Any]] = []
-        for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise PromotionChainError(
-                    f"unparseable promotion entry after seq "
-                    f"{len(entries) - 1}: {error}"
-                ) from None
-            if isinstance(payload, dict):
-                entries.append(payload)
+        entries, bad = read_jsonl(self.path)
+        if bad:
+            raise PromotionChainError(
+                f"unparseable promotion entry on line {bad[0]} of {self.path}"
+            )
         return entries
 
     def entries(self) -> List[Dict[str, Any]]:

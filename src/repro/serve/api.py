@@ -730,7 +730,6 @@ class ModelServer:
         events_per_pid: bool = False,
         slo: Optional[SloConfig] = None,
         pipeline: Any = False,
-        reuse_port: bool = False,
         listen_socket: Optional[socket.socket] = None,
         replica: Optional[Dict[str, Any]] = None,
     ) -> None:
@@ -753,14 +752,12 @@ class ModelServer:
         and promotes.  Pass a pre-built orchestrator instead to
         control its configuration.
 
-        The last four parameters exist for :mod:`repro.cluster`:
-        ``reuse_port`` sets ``SO_REUSEPORT`` before binding so N
-        sibling processes can share one host:port (the kernel
-        load-balances accepts); ``listen_socket`` skips bind/listen
-        entirely and serves on an already-listening socket the
-        supervisor created before forking (the ``SO_REUSEPORT``-less
-        fallback — the server takes ownership and closes it on
-        shutdown); ``replica`` (``{"index", "pid", "leader"}``) tags
+        The last three parameters exist for :mod:`repro.cluster`:
+        ``listen_socket`` skips bind/listen entirely and serves on an
+        already-listening socket the supervisor created before forking
+        (:mod:`repro.cluster.sockets` does any ``SO_REUSEPORT`` binding;
+        the server takes ownership and closes it on shutdown);
+        ``replica`` (``{"index", "pid", "leader"}``) tags
         every response with an ``X-Repro-Replica`` header and shows up
         in ``/healthz`` and ``/v1/status``; ``events_per_pid`` gives
         the event log a per-PID filename so sibling workers sharing
@@ -810,8 +807,8 @@ class ModelServer:
             replica = {**replica, "pid": os.getpid()}
         self.replica = replica
         if listen_socket is not None:
-            # Serve on a socket someone else bound (cluster fallback
-            # mode: the supervisor listens once, children inherit).
+            # Serve on a socket someone else bound (cluster workers
+            # inherit it from the supervisor).
             self._httpd = ThreadingHTTPServer(
                 (host, port), _Handler, bind_and_activate=False
             )
@@ -821,17 +818,6 @@ class ModelServer:
             self._httpd.server_address = (bound_host, bound_port)
             self._httpd.server_name = bound_host
             self._httpd.server_port = bound_port
-        elif reuse_port:
-            if not hasattr(socket, "SO_REUSEPORT"):  # pragma: no cover
-                raise OSError("SO_REUSEPORT is not available on this platform")
-            self._httpd = ThreadingHTTPServer(
-                (host, port), _Handler, bind_and_activate=False
-            )
-            self._httpd.socket.setsockopt(
-                socket.SOL_SOCKET, socket.SO_REUSEPORT, 1
-            )
-            self._httpd.server_bind()
-            self._httpd.server_activate()
         else:
             self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True

@@ -18,8 +18,8 @@ Layout under the registry root::
     aliases/<name>                    # text file holding a model id
     alias_history/<name>.jsonl        # one record per move_alias/drop_alias
 
-All writes go through a temp file and ``os.replace`` (atomic on POSIX),
-and ``meta.json`` is written *after* the artifact, so a record is
+All writes go through :mod:`repro.durable` (atomic on POSIX), and
+``meta.json`` is written *after* the artifact, so a record is
 visible only once its artifact is complete.  Mutable names ("latest")
 live in ``aliases/`` and are re-pointed atomically the same way.
 
@@ -40,8 +40,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -49,6 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.durable import append_jsonl, atomic_write, read_jsonl
 from repro.mtree.serialize import tree_from_dict, tree_to_dict
 from repro.mtree.tree import ModelTree
 from repro.obs.metrics import counter
@@ -139,21 +138,6 @@ def _canonical_artifact(tree: ModelTree) -> bytes:
     ).encode()
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Write-then-rename, mirroring the sample-set cache's discipline."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
-
-
 class ModelRegistry:
     """Content-addressed model store with aliases and an LRU of trees.
 
@@ -224,8 +208,8 @@ class ModelRegistry:
         )
         model_dir = self._model_dir(model_id)
         # Artifact first, meta second: meta.json marks a complete publish.
-        _atomic_write(model_dir / "artifact.json", artifact)
-        _atomic_write(
+        atomic_write(model_dir / "artifact.json", artifact)
+        atomic_write(
             model_dir / "meta.json",
             json.dumps(record.as_dict(), indent=2).encode(),
         )
@@ -244,7 +228,7 @@ class ModelRegistry:
             raise ModelNotFound(
                 f"cannot alias {name!r}: no model {model_id!r} in {self.root}"
             )
-        _atomic_write(self._alias_path(name), model_id.encode())
+        atomic_write(self._alias_path(name), model_id.encode())
 
     def aliases(self) -> Dict[str, str]:
         """All alias -> model id mappings."""
@@ -287,7 +271,7 @@ class ModelRegistry:
                 "actor": actor,
                 "unix_time": time.time(),
             }
-            self._append_alias_history(name, entry)
+            append_jsonl(self._alias_history_path(name), entry)
         return entry
 
     def drop_alias(
@@ -315,38 +299,17 @@ class ModelRegistry:
                 "actor": actor,
                 "unix_time": time.time(),
             }
-            self._append_alias_history(name, entry)
+            append_jsonl(self._alias_history_path(name), entry)
         return entry
 
     def alias_history(self, name: str) -> List[Dict[str, Any]]:
         """Recorded moves for one alias, oldest first.
 
         Only :meth:`move_alias` / :meth:`drop_alias` record history;
-        plain :meth:`set_alias` (e.g. from publish) does not.
+        plain :meth:`set_alias` (e.g. from publish) does not.  Lines
+        that are not records (a crashed writer's torn tail) are skipped.
         """
-        history_path = self._alias_history_path(name)
-        if not history_path.is_file():
-            return []
-        entries: List[Dict[str, Any]] = []
-        for line in history_path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # tolerate a torn tail from a crashed writer
-            if isinstance(payload, dict):
-                entries.append(payload)
-        return entries
-
-    def _append_alias_history(self, name: str, entry: Mapping[str, Any]) -> None:
-        # Caller holds self._alias_lock.
-        history_path = self._alias_history_path(name)
-        history_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(history_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            handle.flush()
+        return read_jsonl(self._alias_history_path(name))[0]
 
     def evict(self, model_id: str) -> None:
         """Drop a model's tree from the in-process LRU (used by gc)."""

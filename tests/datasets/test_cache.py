@@ -6,7 +6,6 @@ import pytest
 from repro.datasets.cache import (
     CacheStats,
     SampleSetCache,
-    cached_generate,
     format_cache_stats,
     generation_digest,
 )
@@ -51,39 +50,6 @@ class TestDigest:
         assert generation_digest(suite, small_config, core2) != (
             generation_digest(suite, small_config, nextgen)
         )
-
-
-class TestCachedGenerate:
-    def test_roundtrip_identical(self, small_config, tmp_path):
-        suite = spec_omp2001()
-        first = cached_generate(suite, small_config, tmp_path)
-        assert len(list(tmp_path.glob("*.csv"))) == 1
-        second = cached_generate(suite, small_config, tmp_path)
-        np.testing.assert_array_equal(first.X, second.X)
-        np.testing.assert_array_equal(first.y, second.y)
-        assert list(first.benchmarks) == list(second.benchmarks)
-
-    def test_matches_direct_generation(self, small_config, tmp_path):
-        suite = spec_omp2001()
-        cached = cached_generate(suite, small_config, tmp_path)
-        direct = suite.generate(small_config)
-        np.testing.assert_array_equal(cached.X, direct.X)
-
-    def test_different_configs_different_entries(self, small_config, tmp_path):
-        suite = spec_omp2001()
-        cached_generate(suite, small_config, tmp_path)
-        cached_generate(
-            suite, SuiteGenerationConfig(total_samples=1200, seed=9), tmp_path
-        )
-        assert len(list(tmp_path.glob("*.csv"))) == 2
-
-    def test_corrupt_entry_regenerated(self, small_config, tmp_path):
-        suite = spec_omp2001()
-        cached_generate(suite, small_config, tmp_path)
-        entry = next(tmp_path.glob("*.csv"))
-        entry.write_text("garbage")
-        data = cached_generate(suite, small_config, tmp_path)
-        assert len(data) == 1200
 
 
 class TestSampleSetCache:

@@ -423,3 +423,20 @@ class TestReport:
         with pytest.raises(ModelNotFound):
             registry.resolve("latest")
         assert orchestrator.report()["champion"] is None
+
+    def test_unparseable_trail_line_reports_a_broken_chain(self, registry):
+        """The status document degrades instead of raising."""
+        champion, hub, orchestrator = make_loop(registry)
+        orchestrator.promotions.append(
+            action="promote",
+            alias="latest",
+            from_id="0" * 16,
+            to_id=champion.model_id,
+            why="an earlier cycle",
+        )
+        with open(orchestrator.promotions.path, "a") as handle:
+            handle.write("not an entry\n")
+        promotions = orchestrator.report()["promotions"]
+        assert promotions["chain_valid"] is False
+        assert promotions["entries"] == 1
+        assert [e["to"] for e in promotions["tail"]] == [champion.model_id]

@@ -3,6 +3,7 @@
 import json
 import re
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -118,18 +119,18 @@ class TestConcurrentCaptures:
         thread = threading.Thread(target=long_capture)
         thread.start()
         try:
-            # Wait until the first capture holds the gate.
-            deadline = threading.Event()
-            codes = []
-            for _ in range(50):
-                code = get(server, "/v1/profile/cpu?seconds=0.1")[0]
-                codes.append(code)
-                if code == 409:
-                    break
-                deadline.wait(0.02)
+            # Probe once, after the long capture holds the gate (it
+            # keeps it for 1.2 s); an earlier probe could take the gate
+            # first and then nothing would overlap.
+            deadline = time.monotonic() + 10.0
+            while not server.profiler.report()["busy"]:
+                assert time.monotonic() < deadline, "capture never started"
+                time.sleep(0.002)
+            code = get(server, "/v1/profile/cpu?seconds=0.1")[0]
         finally:
-            thread.join()
-        assert 409 in codes, f"never saw profile_in_progress: {codes}"
+            thread.join(30.0)
+        assert not thread.is_alive()
+        assert code == 409, f"never saw profile_in_progress: {code}"
         assert results["first"] == 200
 
 
