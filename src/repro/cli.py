@@ -208,9 +208,13 @@ def _build_parser() -> argparse.ArgumentParser:
     serving.add_argument(
         "--max-wait-ms",
         type=float,
-        default=2.0,
+        default=0.0,
         metavar="MS",
-        help="serve: max time the head request waits for a batch to fill",
+        help=(
+            "serve: max time the head request waits for a batch to fill "
+            "(default 0: every flush takes what is queued and never "
+            "waits; a window only helps many tiny concurrent requests)"
+        ),
     )
     serving.add_argument(
         "--self-test",

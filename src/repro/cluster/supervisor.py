@@ -35,7 +35,7 @@ import socket as socket_module
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from multiprocessing import get_context
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -46,6 +46,7 @@ from repro.cluster.aggregate import (
 from repro.cluster.sockets import create_listen_sockets
 from repro.cluster.worker import WorkerSpec, worker_main
 from repro.obs.metrics import counter
+from repro.serve.api import OneWriteHandler
 from repro.serve.engine import BatchConfig
 
 __all__ = ["ClusterConfig", "ClusterSupervisor"]
@@ -100,20 +101,8 @@ class _WorkerHandle:
         self.died_at: Optional[float] = None
 
 
-class _AdminHandler(BaseHTTPRequestHandler):
+class _AdminHandler(OneWriteHandler):
     """Supervisor admin endpoint: the aggregated cluster documents."""
-
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format: str, *args: Any) -> None:
-        pass
-
-    def _send(self, status: int, body: bytes, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
 
     def do_GET(self) -> None:
         supervisor: "ClusterSupervisor" = self.server.supervisor
@@ -127,15 +116,9 @@ class _AdminHandler(BaseHTTPRequestHandler):
                     "workers": supervisor.config.workers,
                     "alive": alive,
                 }
-                self._send(
-                    200, json.dumps(payload).encode(), "application/json"
-                )
+                self._send(200, json.dumps(payload).encode())
             elif path == "/v1/status":
-                self._send(
-                    200,
-                    json.dumps(supervisor.status()).encode(),
-                    "application/json",
-                )
+                self._send(200, json.dumps(supervisor.status()).encode())
             elif path == "/metrics":
                 self._send(
                     200,
@@ -148,7 +131,6 @@ class _AdminHandler(BaseHTTPRequestHandler):
                     json.dumps(
                         {"error": {"code": "not_found", "message": path}}
                     ).encode(),
-                    "application/json",
                 )
         except (BrokenPipeError, ConnectionResetError):
             pass

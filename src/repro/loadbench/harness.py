@@ -40,6 +40,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 from urllib.parse import urlsplit
 
+from repro.obs.telemetry import TRACE_HEADER
+
 __all__ = ["LoadConfig", "LoadResult", "run_load", "percentile"]
 
 
@@ -129,13 +131,22 @@ class LoadResult:
 
 
 class _Sender:
-    """One persistent-connection client thread's state."""
+    """One persistent-connection client thread's state.
 
-    def __init__(self, host: str, port: int, timeout_s: float) -> None:
+    Every request carries the trace ID ``lb-<index>-<n>`` (``n`` counts
+    this sender's requests from 0), which the server echoes and records
+    in its event log, so a slow request can be found there.
+    """
+
+    def __init__(
+        self, index: int, host: str, port: int, timeout_s: float
+    ) -> None:
+        self.index = index
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
         self.conn: Optional[http.client.HTTPConnection] = None
+        self.sent = 0
 
     def request(self, path: str, body: bytes) -> tuple:
         """POST once; returns (ok, replica_header).  Reconnects lazily."""
@@ -143,12 +154,17 @@ class _Sender:
             self.conn = http.client.HTTPConnection(
                 self.host, self.port, timeout=self.timeout_s
             )
+        trace_id = f"lb-{self.index}-{self.sent}"
+        self.sent += 1
         try:
             self.conn.request(
                 "POST",
                 path,
                 body=body,
-                headers={"Content-Type": "application/json"},
+                headers={
+                    "Content-Type": "application/json",
+                    TRACE_HEADER: trace_id,
+                },
             )
             response = self.conn.getresponse()
             replica = response.getheader("X-Repro-Replica")
@@ -219,7 +235,7 @@ def run_load(config: LoadConfig) -> LoadResult:
     if config.mode == "closed":
 
         def closed_client(index: int) -> None:
-            sender = _Sender(host, port, config.timeout_s)
+            sender = _Sender(index, host, port, config.timeout_s)
             think_s = config.think_ms / 1e3
             try:
                 while not stop.is_set() and time.perf_counter() < deadline:
@@ -255,7 +271,7 @@ def run_load(config: LoadConfig) -> LoadResult:
         offered = len(arrivals) / config.duration_s
 
         def open_client(index: int) -> None:
-            sender = _Sender(host, port, config.timeout_s)
+            sender = _Sender(index, host, port, config.timeout_s)
             try:
                 for scheduled in arrivals[index :: config.connections]:
                     target = started + scheduled

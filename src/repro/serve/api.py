@@ -40,6 +40,8 @@ internal failures.  Bodies above ``max_body_bytes`` are rejected
 before being read into memory (and counted on
 ``serve.http.rejected_oversized``).
 
+Every response leaves in one socket write (:class:`OneWriteHandler`).
+
 Shutdown is graceful: :meth:`ModelServer.shutdown` stops accepting
 connections, then drains the engine queue so every accepted predict
 request is answered before the process exits (the CLI wires this to
@@ -87,6 +89,7 @@ from repro.serve.status import build_status_document, render_dashboard_html
 __all__ = [
     "ApiError",
     "ModelServer",
+    "OneWriteHandler",
     "DEFAULT_MAX_BODY_BYTES",
     "REPLICA_HEADER",
 ]
@@ -306,45 +309,81 @@ def _decode_actuals(
     return decoded
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Dispatches one request; all state lives on ``self.server``."""
+def _json(payload: Any) -> bytes:
+    return json.dumps(payload).encode()
+
+
+class OneWriteHandler(BaseHTTPRequestHandler):
+    """Keep-alive HTTP/1.1 handler whose every response is one write.
+
+    ``wfile`` is buffered, so the status line, the header block and the
+    body collect in memory and :meth:`_send` flushes them together.
+    Written separately, the body ``send()`` would wait behind Nagle's
+    algorithm for the client's delayed ACK of the headers (~40 ms on a
+    keep-alive connection).  A response larger than the 64 KiB buffer
+    is written as the header block, then the body.
+    """
 
     protocol_version = "HTTP/1.1"
+    wbufsize = 64 * 1024
 
-    #: Per-request telemetry state, reset by :meth:`_dispatch`.
+    #: The request's trace ID, echoed on the response when set.
     _trace_id: Optional[str] = None
-    _trace: Optional[RequestTrace] = None
-
-    # -- plumbing --------------------------------------------------------
 
     def log_message(self, format: str, *args: Any) -> None:
         # Access logging is the metrics registry's job; stderr stays
         # quiet so the CLI and tests are readable.
         pass
 
-    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self._trace_id is not None:
-            self.send_header(TRACE_HEADER, self._trace_id)
-        if self.server.replica is not None:
-            self.send_header(REPLICA_HEADER, str(self.server.replica["index"]))
-        self.end_headers()
-        self.wfile.write(body)
+    def handle_expect_100(self) -> bool:
+        # The interim response must reach the client before the body
+        # it is waiting to send can be read.
+        proceed = super().handle_expect_100()
+        self.wfile.flush()
+        return proceed
 
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode()
+    def _send(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str = "application/json",
+    ) -> None:
+        """Write one complete response, tagged with the trace and
+        replica headers, and flush it to the socket."""
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if self._trace_id is not None:
             self.send_header(TRACE_HEADER, self._trace_id)
-        if self.server.replica is not None:
-            self.send_header(REPLICA_HEADER, str(self.server.replica["index"]))
+        replica = getattr(self.server, "replica", None)
+        if replica is not None:
+            self.send_header(REPLICA_HEADER, str(replica["index"]))
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
+
+
+class _Handler(OneWriteHandler):
+    """Dispatches one request; all state lives on ``self.server``."""
+
+    #: Per-request telemetry state, reset by :meth:`_dispatch`.
+    _trace: Optional[RequestTrace] = None
+
+    # -- plumbing --------------------------------------------------------
+
+    def _send_error_envelope(
+        self, status: int, code: str, message: str
+    ) -> int:
+        self._send(
+            status,
+            _json(
+                {
+                    "error": {"code": code, "message": message},
+                    "trace": self._trace_id,
+                }
+            ),
+        )
+        return status
 
     def _read_body(self) -> Dict[str, Any]:
         length_header = self.headers.get("Content-Length")
@@ -405,59 +444,26 @@ class _Handler(BaseHTTPRequestHandler):
             with obs_span("serve.http", method=method, path=self.path):
                 status = self._route(method)
         except ApiError as error:
-            status = error.status
-            self._send_json(
-                error.status,
-                {
-                    "error": {"code": error.code, "message": error.message},
-                    "trace": self._trace_id,
-                },
+            status = self._send_error_envelope(
+                error.status, error.code, error.message
             )
         except ModelNotFound as error:
-            status = 404
-            self._send_json(
-                404,
-                {
-                    "error": {
-                        "code": "model_not_found",
-                        "message": str(error),
-                    },
-                    "trace": self._trace_id,
-                },
+            status = self._send_error_envelope(
+                404, "model_not_found", str(error)
             )
         except CorruptArtifact as error:
-            status = 500
-            self._send_json(
-                500,
-                {
-                    "error": {
-                        "code": "corrupt_artifact",
-                        "message": str(error),
-                    },
-                    "trace": self._trace_id,
-                },
+            status = self._send_error_envelope(
+                500, "corrupt_artifact", str(error)
             )
         except ValueError as error:
             # The hardened ModelTree.predict boundary surfaces here.
-            status = 400
-            self._send_json(
-                400,
-                {
-                    "error": {"code": "invalid_input", "message": str(error)},
-                    "trace": self._trace_id,
-                },
+            status = self._send_error_envelope(
+                400, "invalid_input", str(error)
             )
         except (BrokenPipeError, ConnectionResetError):
             status = 499  # client went away; nothing to send
         except Exception as error:  # pragma: no cover - defensive
-            status = 500
-            self._send_json(
-                500,
-                {
-                    "error": {"code": "internal", "message": str(error)},
-                    "trace": self._trace_id,
-                },
-            )
+            status = self._send_error_envelope(500, "internal", str(error))
         finally:
             duration = time.perf_counter() - start
             with self.server.stats_lock:
@@ -497,35 +503,35 @@ class _Handler(BaseHTTPRequestHandler):
             }
             if self.server.replica is not None:
                 payload["replica"] = self.server.replica
-            self._send_json(200, payload)
+            self._send(200, _json(payload))
             return 200
         if path == "/metrics" and method == "GET":
             from repro.obs.metrics import get_registry
 
-            self._send_text(
+            self._send(
                 200,
-                render_prometheus(get_registry().as_records()),
+                render_prometheus(get_registry().as_records()).encode(),
                 "text/plain; version=0.0.4",
             )
             return 200
         if path == "/v1/status" and method == "GET":
-            self._send_json(200, self._status_document())
+            self._send(200, _json(self._status_document()))
             return 200
         if path == "/v1/pipeline" and method == "GET":
             pipeline = self.server.pipeline
             if pipeline is None:
-                self._send_json(200, {"armed": False})
+                self._send(200, _json({"armed": False}))
                 return 200
-            self._send_json(200, pipeline.report())
+            self._send(200, _json(pipeline.report()))
             return 200
         if path == "/v1/profile/cpu":
             if method != "GET":
                 raise ApiError(405, "method_not_allowed", "use GET")
             return self._profile_cpu()
         if path == "/dashboard" and method == "GET":
-            self._send_text(
+            self._send(
                 200,
-                render_dashboard_html(self._status_document()),
+                render_dashboard_html(self._status_document()).encode(),
                 "text/html; charset=utf-8",
             )
             return 200
@@ -595,17 +601,19 @@ class _Handler(BaseHTTPRequestHandler):
             )
         profile = self.server.profiler.capture(seconds, int(hz))
         if fmt == "collapsed":
-            self._send_text(
-                200, profile.folded(), "text/plain; charset=utf-8"
+            self._send(
+                200, profile.folded().encode(), "text/plain; charset=utf-8"
             )
         elif fmt == "html":
-            self._send_text(
+            self._send(
                 200,
-                render_flamegraph_html(profile, title="serving CPU profile"),
+                render_flamegraph_html(
+                    profile, title="serving CPU profile"
+                ).encode(),
                 "text/html; charset=utf-8",
             )
         else:
-            self._send_json(200, profile.as_dict())
+            self._send(200, _json(profile.as_dict()))
         return 200
 
     def _route_models(self, method: str, rest: list) -> int:
@@ -614,19 +622,23 @@ class _Handler(BaseHTTPRequestHandler):
         if not rest:
             if method != "GET":
                 raise ApiError(405, "method_not_allowed", "use GET")
-            self._send_json(
+            self._send(
                 200,
-                {
-                    "models": [r.as_dict() for r in registry.list_records()],
-                    "aliases": registry.aliases(),
-                },
+                _json(
+                    {
+                        "models": [
+                            r.as_dict() for r in registry.list_records()
+                        ],
+                        "aliases": registry.aliases(),
+                    }
+                ),
             )
             return 200
         ref = rest[0]
         if len(rest) == 1:
             if method != "GET":
                 raise ApiError(405, "method_not_allowed", "use GET")
-            self._send_json(200, registry.record(ref).as_dict())
+            self._send(200, _json(registry.record(ref).as_dict()))
             return 200
         action = rest[1]
         if action == "predict" and len(rest) == 2:
@@ -635,37 +647,39 @@ class _Handler(BaseHTTPRequestHandler):
             return self._predict(ref)
         if action == "profile" and len(rest) == 2:
             if method == "GET":
-                self._send_json(200, engine.profile(ref))
+                self._send(200, _json(engine.profile(ref)))
                 return 200
             if method == "POST":
                 # Profile *submitted* rows through the model (Eq. 4).
                 body = self._read_body()
                 record, tree = registry.load(ref)
                 X = _instances_to_matrix(body, record.feature_names)
-                self._send_json(200, engine.profile_inputs(ref, X))
+                self._send(200, _json(engine.profile_inputs(ref, X)))
                 return 200
             raise ApiError(405, "method_not_allowed", "use GET or POST")
         if action == "compare" and len(rest) == 3:
             if method != "GET":
                 raise ApiError(405, "method_not_allowed", "use GET")
-            self._send_json(200, engine.compare(ref, rest[2]))
+            self._send(200, _json(engine.compare(ref, rest[2])))
             return 200
         if action == "drift" and len(rest) == 2:
             if method != "GET":
                 raise ApiError(405, "method_not_allowed", "use GET")
             drift = self.server.drift
             if drift is None:
-                self._send_json(
+                self._send(
                     200,
-                    {
-                        "monitoring": False,
-                        "model_id": registry.resolve(ref),
-                    },
+                    _json(
+                        {
+                            "monitoring": False,
+                            "model_id": registry.resolve(ref),
+                        }
+                    ),
                 )
                 return 200
             payload = drift.report(ref)
             payload["monitoring"] = True
-            self._send_json(200, payload)
+            self._send(200, _json(payload))
             return 200
         raise ApiError(
             404, "not_found", f"no route for {method} {self.path}"
@@ -684,8 +698,11 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             actuals = _decode_actuals(body, X.shape[0])
         t_predict = time.perf_counter()
+        # The resolved id, not ``ref``: an alias moved by a promotion
+        # since ``record()`` must not pair this id with another model's
+        # predictions.
         predictions = self.server.engine.predict(
-            ref, X, smooth=smooth, actuals=actuals, trace=trace
+            record.model_id, X, smooth=smooth, actuals=actuals, trace=trace
         )
         predict_s = time.perf_counter() - t_predict
         with self.server.stats_lock:
@@ -695,14 +712,16 @@ class _Handler(BaseHTTPRequestHandler):
                 labels={"model": record.model_id},
             ).observe(predict_s)
         with trace.stage("respond") if trace else nullcontext():
-            self._send_json(
+            self._send(
                 200,
-                {
-                    "model_id": record.model_id,
-                    "n": int(X.shape[0]),
-                    "predictions": predictions.tolist(),
-                    "trace": self._trace_id,
-                },
+                _json(
+                    {
+                        "model_id": record.model_id,
+                        "n": int(X.shape[0]),
+                        "predictions": predictions.tolist(),
+                        "trace": self._trace_id,
+                    }
+                ),
             )
         return 200
 

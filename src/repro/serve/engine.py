@@ -6,8 +6,13 @@ vectorized, so 64 single-row traversals cost ~64x what one 64-row
 traversal does.  The engine closes that gap with request coalescing: a
 single worker thread drains a queue, groups consecutive requests by
 (model, smoothing) and flushes a group when it reaches ``max_batch``
-rows or the oldest request has waited ``max_wait_s`` — the standard
-latency/throughput knob pair of model servers.
+rows.  The batcher is work-conserving: it never idles while work is
+queued.  Every request already waiting joins the batch, and with the
+default ``max_wait_s=0`` the batch flushes as soon as the queue is
+empty — requests that arrive while the kernel runs form the next
+batch, so batches grow with load on their own.  A non-zero
+``max_wait_s`` additionally holds the head request for company, which
+only pays off for many tiny concurrent requests.
 
 Because one worker executes all predictions, results are deterministic
 and bit-identical to calling ``tree.predict`` directly on the same
@@ -76,14 +81,16 @@ _DRAINED = counter("serve.engine.drained_requests")
 class BatchConfig:
     """Micro-batching knobs.
 
-    ``max_batch`` bounds the rows coalesced into one tree traversal;
-    ``max_wait_s`` bounds how long the first request of a batch may sit
-    in the queue waiting for company.  ``max_wait_s=0`` disables
-    coalescing-by-time: each flush takes whatever is already queued.
+    ``max_batch`` bounds the rows coalesced into one tree traversal.
+    Every flush takes whatever is already queued, up to ``max_batch``.
+    ``max_wait_s`` is how long the head request of a batch may wait
+    for more requests to arrive; the default 0 never waits.  A window
+    only helps when many tiny requests arrive concurrently; otherwise
+    every batch sits out the whole window.
     """
 
     max_batch: int = 256
-    max_wait_s: float = 0.002
+    max_wait_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -455,11 +462,14 @@ class PredictionEngine:
             deadline = time.monotonic() + cfg.max_wait_s
             t_enqueue = time.monotonic()
             while rows < cfg.max_batch:
+                # Work-conserving: what is already queued joins the
+                # batch even once the window has run out (or was 0).
                 remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
                 try:
-                    item = self._queue.get(timeout=remaining)
+                    if remaining > 0:
+                        item = self._queue.get(timeout=remaining)
+                    else:
+                        item = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if item is _SHUTDOWN:

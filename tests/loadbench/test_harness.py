@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,11 @@ import pytest
 from repro.loadbench import LoadConfig, run_load
 from repro.loadbench.harness import _default_instances, percentile
 from repro.loadbench.report import render_load_text, verify_bit_equality
+from repro.obs import read_events
+from repro.serve.api import ModelServer
+from repro.serve.registry import ModelRegistry
+
+from .conftest import make_tree
 
 
 class TestPercentile:
@@ -111,6 +117,40 @@ class TestClosedLoop:
         assert result.requests == 0
         assert result.errors > 0
         assert math.isnan(result.latency_mean_ms)
+
+
+class TestTraceIds:
+    def test_every_request_is_in_the_server_event_log(self, tmp_path):
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.publish(make_tree())
+        events = tmp_path / "events.jsonl"
+        with ModelServer(
+            registry, port=0, monitor=False, events_path=str(events)
+        ) as server:
+            result = run_load(
+                LoadConfig(
+                    url=server.url,
+                    mode="closed",
+                    duration_s=0.5,
+                    connections=2,
+                    batch_rows=4,
+                )
+            )
+        assert result.requests > 0 and result.errors == 0
+        traces = [
+            record["trace"]
+            for record in read_events(events)
+            if record.get("kind") == "http"
+        ]
+        assert len(traces) == result.requests
+        sent = {}
+        for trace in traces:
+            match = re.fullmatch(r"lb-(\d+)-(\d+)", trace)
+            assert match, trace
+            sent.setdefault(int(match[1]), []).append(int(match[2]))
+        assert set(sent) == {0, 1}
+        for numbers in sent.values():
+            assert sorted(numbers) == list(range(len(numbers)))
 
 
 class TestOpenLoop:

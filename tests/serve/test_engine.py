@@ -6,6 +6,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.obs.metrics import get_registry
+from repro.serve import engine as engine_module
 from repro.serve.engine import BatchConfig, PredictionEngine
 from repro.serve.registry import ModelNotFound
 
@@ -118,6 +120,87 @@ class TestPredict:
         np.testing.assert_array_equal(results[1], tree_b.predict(probe))
         np.testing.assert_array_equal(results[0], results[2])
         np.testing.assert_array_equal(results[1], results[3])
+
+
+class _HoldFirstFlush:
+    """Drift-hub stand-in that parks the worker in its first flush.
+
+    The engine feeds the hub after answering a batch's callers, so the
+    first request completes while the worker stays busy until
+    :attr:`release` is set.
+    """
+
+    def __init__(self) -> None:
+        self.holding = threading.Event()
+        self.release = threading.Event()
+
+    def observe(self, model_id, X, predictions, actuals) -> None:
+        if not self.holding.is_set():
+            self.holding.set()
+            self.release.wait(30)
+
+
+class _ExpiredWindowClock:
+    """Engine ``time`` stand-in: ``monotonic`` jumps a second per call,
+    so every batch window has run out by the time it is checked."""
+
+    perf_counter = staticmethod(time.perf_counter)
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        self.now += 1.0
+        return self.now
+
+
+class TestWorkConserving:
+    """Requests queued behind a busy worker flush together."""
+
+    @staticmethod
+    def _flushes(published, tiny_tree, batch, inputs) -> int:
+        """Queue ``inputs`` while the worker is held in its first flush,
+        release it, check every caller's rows, and return how many
+        batches the queued requests took."""
+        registry, record = published
+        hub = _HoldFirstFlush()
+        batches = get_registry().counter("serve.engine.batches")
+        with PredictionEngine(registry, batch=batch, drift=hub) as engine:
+            try:
+                engine.predict(record.model_id, inputs[0], timeout=10)
+                assert hub.holding.wait(10)
+                before = batches.value
+                futures = [engine.submit(record.model_id, X) for X in inputs]
+            finally:
+                hub.release.set()
+            results = [future.result(10) for future in futures]
+            flushed = batches.value - before
+        for X, got in zip(inputs, results):
+            np.testing.assert_array_equal(got, tiny_tree.predict(X))
+        return flushed
+
+    @pytest.fixture
+    def inputs(self):
+        rng = np.random.default_rng(17)
+        return [rng.random((rows, 3)) for rows in (3, 1, 4, 2, 5)]
+
+    def test_zero_window_takes_everything_queued(
+        self, published, tiny_tree, inputs
+    ):
+        batch = BatchConfig(max_wait_s=0)
+        assert self._flushes(published, tiny_tree, batch, inputs) == 1
+
+    def test_expired_window_takes_everything_queued(
+        self, published, tiny_tree, inputs, monkeypatch
+    ):
+        monkeypatch.setattr(engine_module, "time", _ExpiredWindowClock())
+        batch = BatchConfig(max_wait_s=0.05)
+        assert self._flushes(published, tiny_tree, batch, inputs) == 1
+
+    def test_batch_stops_at_max_batch(self, published, tiny_tree):
+        X = np.random.default_rng(18).random((4, 3))
+        batch = BatchConfig(max_batch=8)
+        assert self._flushes(published, tiny_tree, batch, [X] * 4) == 2
 
 
 class TestHotSwap:

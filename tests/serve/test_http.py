@@ -10,6 +10,7 @@ import pytest
 
 from repro.serve.api import ModelServer
 from repro.serve.engine import BatchConfig
+from repro.serve.registry import ModelRegistry
 
 from tests.serve.conftest import make_tree
 
@@ -179,6 +180,41 @@ class TestPredict:
         assert status == 200
         assert body["n"] == len(probe)
         assert 0.0 <= body["l1_vs_training_pct"] <= 100.0
+
+
+class _PromotedAfterRecord(ModelRegistry):
+    """Moves ``latest`` to :attr:`promote_to` right after the next
+    ``record()`` returns: a promotion landing mid-request."""
+
+    promote_to = None
+
+    def record(self, ref):
+        result = super().record(ref)
+        if self.promote_to is not None:
+            target, self.promote_to = self.promote_to, None
+            self.move_alias("latest", target, reason="mid-request promotion")
+        return result
+
+
+class TestPredictUnderPromotion:
+    def test_response_names_the_model_that_predicted(self, tmp_path, probe):
+        registry = _PromotedAfterRecord(tmp_path / "registry")
+        tree_a, tree_b = make_tree(seed=51), make_tree(seed=52)
+        a = registry.publish(tree_a)  # takes 'latest'
+        b = registry.publish(tree_b, aliases=())
+        registry.promote_to = b.model_id
+        with ModelServer(registry, port=0, monitor=False) as running:
+            status, body = post_json(
+                running,
+                "/v1/models/latest/predict",
+                {"instances": probe.tolist()},
+            )
+        assert status == 200
+        assert registry.resolve("latest") == b.model_id  # it did land
+        named = {a.model_id: tree_a, b.model_id: tree_b}[body["model_id"]]
+        np.testing.assert_array_equal(
+            np.asarray(body["predictions"]), named.predict(probe)
+        )
 
 
 class TestValidation:
