@@ -18,48 +18,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.context import ExperimentContext
-
-#: One row per committed-snapshot overhead budget: snapshot file, the
-#: section holding the paired-median measurement, what the delta pays
-#: for, the percent limit, and what to trim when it breaches.  All of
-#: these are medians of paired, interleaved on/off passes written by
-#: the matching ``run_*bench.py`` — deterministic at session time,
-#: unlike a live HTTP measurement, whose run-to-run variance at this
-#: scale is of the same order as the budget being enforced.
-_OVERHEAD_BUDGETS = (
-    {
-        "snapshot": "BENCH_serve.json",
-        "section": "telemetry_overhead",
-        "what": "request telemetry",
-        "limit_pct": 5.0,
-        "remedy": "re-profile run_servebench.py after trimming the "
-        "traced path",
-    },
-    {
-        "snapshot": "BENCH_serve.json",
-        "section": "profiler_overhead",
-        "what": "the 99 Hz sampling profiler",
-        "limit_pct": 5.0,
-        "remedy": "re-profile run_servebench.py after cheapening "
-        "repro.obs.prof._sample_once",
-    },
-    {
-        "snapshot": "BENCH_pipeline.json",
-        "section": "serving_throughput",
-        "what": "arming the pipeline",
-        "limit_pct": 5.0,
-        "remedy": "re-profile run_pipelinebench.py after trimming the "
-        "hub tap",
-    },
-    {
-        "snapshot": "BENCH_drift.json",
-        "section": "serving_throughput",
-        "what": "the drift monitor",
-        "limit_pct": 5.0,
-        "remedy": "re-profile run_driftbench.py after trimming the "
-        "monitor tap",
-    },
-)
+from run_bench import budget_breaches
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -106,32 +65,23 @@ def compiled_perf_guard() -> None:
 
 @pytest.fixture(scope="session", autouse=True)
 def snapshot_overhead_guard() -> None:
-    """Overhead cost guards: every committed snapshot budget in
-    ``_OVERHEAD_BUDGETS`` must hold.
+    """Overhead cost guards: every committed snapshot must hold the
+    budgets in ``run_bench.OVERHEAD_BUDGETS``.
 
-    A breach means the zero-overhead-when-disabled discipline leaked
-    work onto a hot path — fail the whole benchmark session rather
-    than record misleading artifacts.  Missing snapshots or sections
-    (fresh checkout, pre-feature snapshot) are skipped: the budget
-    only binds once the measurement exists.
+    Each is the median of paired, alternating on/off bursts written by
+    ``run_bench.py`` — deterministic at session time, unlike a live
+    HTTP measurement, whose run-to-run variance at this scale is of
+    the same order as the budget being enforced.  A breach means the
+    zero-overhead-when-disabled discipline leaked work onto a hot path
+    — fail the whole benchmark session rather than record misleading
+    artifacts.  Missing snapshots or sections (fresh checkout,
+    pre-feature snapshot) bind nothing.
     """
-    breaches = []
-    for budget in _OVERHEAD_BUDGETS:
-        path = Path(__file__).parent / budget["snapshot"]
-        if not path.exists():  # pragma: no cover - fresh checkout
-            continue
-        snapshot = json.loads(path.read_text())
-        section = snapshot.get(budget["section"])
-        if not section or "overhead_pct" not in section:
-            continue
-        pct = float(section["overhead_pct"])
-        if pct > budget["limit_pct"]:
-            breaches.append(
-                f"{budget['what']} costs {pct:.2f}% of batch-"
-                f"{section.get('batch_size', 64)} throughput per "
-                f"{budget['snapshot']} (limit "
-                f"{budget['limit_pct']:.0f}%) — {budget['remedy']}"
-            )
+    snapshots = {
+        path.name: json.loads(path.read_text())
+        for path in Path(__file__).parent.glob("BENCH_*.json")
+    }
+    breaches = budget_breaches(snapshots)
     if breaches:
         pytest.fail("; ".join(breaches))
 
@@ -176,7 +126,7 @@ def cluster_scaling_guard() -> None:
     predates the curve.  On a >= 4-CPU box a sub-2x curve means the
     cluster's horizontal scaling has regressed (accept contention,
     leader bottleneck, GIL leak into the fork path): re-profile with
-    ``benchmarks/run_loadbench.py`` before recording new artifacts.
+    ``run_bench.py --only loadbench`` before recording new artifacts.
     """
     import os
 
@@ -202,7 +152,8 @@ def cluster_scaling_guard() -> None:
             f"4-worker cluster reached {wide:,.0f} rows/s vs "
             f"{base:,.0f} single-worker ({wide / base:.2f}x, "
             "limit >= 2x) per BENCH_loadbench.json — horizontal "
-            "scaling has regressed; re-profile run_loadbench.py"
+            "scaling has regressed; re-profile with "
+            "run_bench.py --only loadbench"
         )
 
 

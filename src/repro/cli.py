@@ -832,9 +832,9 @@ def _perf(args, verb: str) -> int:
 def _perf_self_test(committed_path) -> int:
     """Prove the regression gate works before trusting it in CI.
 
-    Two assertions: an injected 2x ``tree_fit_s`` regression in a
-    throwaway ledger IS flagged, and the committed ledger is NOT
-    (no false positive).  Exits 0 only if both hold.
+    Three assertions: injected 2x and 1.5x ``tree_fit_s`` regressions
+    in a throwaway ledger ARE flagged, and the committed ledger is NOT
+    (no false positive).  Exits 0 only if all hold.
     """
     import tempfile
     from pathlib import Path
@@ -856,31 +856,32 @@ def _perf_self_test(committed_path) -> int:
     else:
         print(f"committed ledger ({committed_path}): empty, skipped")
 
-    with tempfile.TemporaryDirectory() as scratch:
-        path = Path(scratch) / "ledger.jsonl"
-        ledger = PerfLedger(path)
-        # A realistic baseline history with a few percent of jitter,
-        # then a candidate entry at 2x — unambiguous at any noise
-        # level the checker is configured for.
-        for factor in (1.00, 0.97, 1.03, 0.99):
+    # A realistic baseline history with a few percent of jitter, then
+    # a candidate entry at 2x (unambiguous) and, separately, at 1.5x
+    # (above the default 35% relative floor, so it must be caught).
+    for slowdown in (2.0, 1.5):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "ledger.jsonl"
+            ledger = PerfLedger(path)
+            for factor in (1.00, 0.97, 1.03, 0.99):
+                ledger.append(
+                    "microperf",
+                    {
+                        "tree_fit_s": 0.160 * factor,
+                        "compiled_speedup_b64": 5.0 / factor,
+                    },
+                )
             ledger.append(
                 "microperf",
-                {
-                    "tree_fit_s": 0.160 * factor,
-                    "compiled_speedup_b64": 5.0 / factor,
-                },
+                {"tree_fit_s": 0.160 * slowdown, "compiled_speedup_b64": 5.0},
             )
-        ledger.append(
-            "microperf",
-            {"tree_fit_s": 0.320, "compiled_speedup_b64": 5.0},
-        )
-        findings = check_ledger(path)
+            findings = check_ledger(path)
         detected = any(
             f.metric == "tree_fit_s" and f.status == "regression"
             for f in findings
         )
         print(
-            "injected 2x tree_fit regression: "
+            f"injected {slowdown:g}x tree_fit regression: "
             + ("detected" if detected else "MISSED")
         )
         if not detected:

@@ -74,6 +74,9 @@ class LoadConfig:
     #: the request body; built once, identical for every request, so
     #: the measurement isolates the serving path, not payload variety.
     instances: Optional[List[List[float]]] = None
+    #: one label per instance, sent as ``actuals`` so the server's drift
+    #: monitor (and an armed pipeline) sees labelled traffic.
+    actuals: Optional[List[float]] = None
     timeout_s: float = 30.0
     seed: int = 20080402
 
@@ -84,6 +87,12 @@ class LoadConfig:
             raise ValueError(f"duration_s must be > 0: {self.duration_s}")
         if self.connections < 1:
             raise ValueError(f"connections must be >= 1: {self.connections}")
+        if self.batch_rows < 1:
+            raise ValueError(f"batch_rows must be >= 1: {self.batch_rows}")
+        if self.actuals is not None and (
+            self.instances is None or len(self.actuals) != len(self.instances)
+        ):
+            raise ValueError("actuals needs instances of the same length")
         if self.mode == "open" and self.rate <= 0:
             raise ValueError(f"rate must be > 0 in open mode: {self.rate}")
 
@@ -209,7 +218,10 @@ def run_load(config: LoadConfig) -> LoadResult:
     instances = config.instances
     if instances is None:
         instances = _default_instances(config.batch_rows, config.seed)
-    body = json.dumps({"instances": instances}).encode()
+    payload: Dict[str, Any] = {"instances": instances}
+    if config.actuals is not None:
+        payload["actuals"] = config.actuals
+    body = json.dumps(payload).encode()
     rows_per_request = len(instances)
 
     lock = threading.Lock()

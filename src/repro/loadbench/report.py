@@ -1,24 +1,19 @@
-"""Saturation curves and terminal rendering for the load harness.
+"""Bit-identity checks and terminal rendering for the load harness.
 
-:func:`run_saturation_curve` is the orchestration the ISSUE's
-SPEC-CPU2026-style scaling story needs: boot a cluster at each worker
-count, drive identical closed-loop load against it, verify one
-replica-served response is bit-identical to a direct
-``ModelTree.predict`` on the same rows, tear down, repeat.  Each point
-is a fresh cluster on an ephemeral port so the counts never contend
-with each other.
+:func:`verify_bit_equality` is the correctness gate in front of every
+load number ``benchmarks/run_bench.py`` records: a throughput figure
+for a server that disagrees with the in-process kernel is worthless.
 """
 
 from __future__ import annotations
 
 import json
 import urllib.request
-from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
-from repro.loadbench.harness import LoadConfig, LoadResult, run_load
+from repro.loadbench.harness import LoadResult
 
-__all__ = ["run_saturation_curve", "verify_bit_equality", "render_load_text"]
+__all__ = ["verify_bit_equality", "render_load_text"]
 
 
 def verify_bit_equality(
@@ -50,54 +45,6 @@ def verify_bit_equality(
         "replica": replica,
         "n": len(served),
     }
-
-
-def run_saturation_curve(
-    registry_dir: str,
-    worker_counts: Sequence[int],
-    base: LoadConfig,
-    model: str = "latest",
-    expected: Optional[Sequence[float]] = None,
-    instances: Optional[List[List[float]]] = None,
-) -> List[Dict[str, Any]]:
-    """One load point per worker count, each against a fresh cluster.
-
-    Returns one dict per count: ``{"workers", "socket_mode", "result",
-    "bit_identical"}`` — ``bit_identical`` is ``None`` unless the
-    caller supplied ``expected`` (the direct-predict floats for
-    ``instances``).
-    """
-    from repro.cluster import ClusterConfig, ClusterSupervisor
-
-    points: List[Dict[str, Any]] = []
-    for workers in worker_counts:
-        supervisor = ClusterSupervisor(
-            ClusterConfig(
-                registry_dir=registry_dir,
-                workers=workers,
-                port=0,
-                monitor=False,
-            )
-        ).start()
-        try:
-            config = replace(base, url=supervisor.url, model=model)
-            check: Optional[Dict[str, Any]] = None
-            if expected is not None and instances is not None:
-                check = verify_bit_equality(
-                    supervisor.url, model, instances, expected
-                )
-            result = run_load(config)
-            points.append(
-                {
-                    "workers": workers,
-                    "socket_mode": supervisor.socket_mode,
-                    "result": result.as_dict(),
-                    "bit_identical": check["identical"] if check else None,
-                }
-            )
-        finally:
-            supervisor.shutdown()
-    return points
 
 
 def render_load_text(result: LoadResult, url: str) -> str:

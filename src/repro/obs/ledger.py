@@ -1,13 +1,13 @@
 """Append-only performance ledger — ``repro.obs.ledger``.
 
-The four ``benchmarks/run_*bench.py`` harnesses write point-in-time
-``BENCH_*.json`` snapshots; this module turns their headline numbers
-into a *time series*.  Every benchmark run appends one JSON line to
-``benchmarks/LEDGER.jsonl``, stamped with a lightweight manifest (git
-describe, platform, package versions) so any entry still answers
-"what produced these numbers?" months later — the same provenance
-discipline :mod:`repro.obs.manifest` applies to experiment traces,
-applied to the benchmark stream.
+``benchmarks/run_bench.py`` writes point-in-time ``BENCH_*.json``
+snapshots, one per bench in :data:`BENCH_SNAPSHOTS`; this module turns
+their headline numbers into a *time series*.  Every bench run appends
+one JSON line to ``benchmarks/LEDGER.jsonl``, stamped with a
+lightweight manifest (git describe, platform, package versions) so
+any entry still answers "what produced these numbers?" months later —
+the same provenance discipline :mod:`repro.obs.manifest` applies to
+experiment traces, applied to the benchmark stream.
 
 On top of the stream, :func:`check_ledger` does *noise-aware*
 regression detection, the way arXiv:2401.16690 treats SPEC result
@@ -67,7 +67,9 @@ _READ_ERRORS = counter("obs.ledger.read_errors")
 _CHECKS = counter("obs.ledger.checks")
 _REGRESSIONS = counter("obs.ledger.regressions")
 
-#: bench name -> committed snapshot filename, for ``repro perf record``.
+#: bench name -> committed snapshot filename: the benches
+#: ``benchmarks/run_bench.py --only`` runs, and what ``repro perf
+#: record`` reads.
 BENCH_SNAPSHOTS = {
     "microperf": "BENCH_microperf.json",
     "serve": "BENCH_serve.json",
@@ -166,7 +168,7 @@ def _get(snapshot: Dict[str, Any], *path: str) -> Optional[float]:
 def headline_metrics(bench: str, snapshot: Dict[str, Any]) -> Dict[str, float]:
     """The ledger-worthy numbers of one ``BENCH_*.json`` snapshot.
 
-    Shared by the benchmark runners (append as they write the
+    Shared by the benchmark runner (append as it writes the
     snapshot) and ``repro perf record`` (derive from a committed
     snapshot), so both paths produce identical entries.
     """
@@ -203,9 +205,15 @@ def headline_metrics(bench: str, snapshot: Dict[str, Any]) -> Dict[str, float]:
             if speedup is not None:
                 out[f"compiled_speedup_b{batch}"] = float(speedup)
     elif bench == "serve":
-        # Unit suffix last so metric_direction can judge it.
-        put("p50_b64_ms", _get(snapshot, "results", "64", "p50_ms"))
-        put("rows_per_s_b64", _get(snapshot, "results", "64", "rows_per_s"))
+        # Unit suffix last so metric_direction can judge it.  Rows are
+        # LoadResult.as_dict() since repro-servebench-v3; the v2 keys
+        # keep older snapshots in git backfillable.
+        for name, keys in (
+            ("p50_b64_ms", ("latency_p50_ms", "p50_ms")),
+            ("rows_per_s_b64", ("achieved_rows_per_s", "rows_per_s")),
+        ):
+            values = [_get(snapshot, "results", "64", key) for key in keys]
+            put(name, next((v for v in values if v is not None), None))
         put(
             "telemetry_overhead_pct",
             _get(snapshot, "telemetry_overhead", "overhead_pct"),

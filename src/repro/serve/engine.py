@@ -591,7 +591,7 @@ class PredictionEngine:
 
         Runs on the batching worker *after* every caller's event is
         set, so it adds nothing to request latency — only pipeline
-        cost, which ``benchmarks/run_driftbench.py`` keeps honest.
+        cost, which ``benchmarks/run_bench.py --only drift`` measures.
         """
         if self.drift is None:
             return

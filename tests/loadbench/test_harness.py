@@ -58,6 +58,17 @@ class TestLoadConfigValidation:
         # rate only constrains open mode.
         LoadConfig(url="http://x", mode="closed", rate=0)
 
+    def test_zero_batch_rows_rejected(self):
+        with pytest.raises(ValueError, match="batch_rows"):
+            LoadConfig(url="http://x", batch_rows=0)
+
+    def test_actuals_need_one_label_per_instance(self):
+        with pytest.raises(ValueError, match="actuals"):
+            LoadConfig(url="http://x", actuals=[1.0])
+        with pytest.raises(ValueError, match="actuals"):
+            LoadConfig(url="http://x", instances=[[0.1, 0.2, 0.3]],
+                       actuals=[1.0, 2.0])
+
 
 class TestDefaultInstances:
     def test_deterministic_for_a_seed(self):
@@ -89,6 +100,23 @@ class TestClosedLoop:
         assert result.offered_rps is None
         assert result.latency_p50_ms <= result.latency_p99_ms
         assert result.latency_p99_ms <= result.latency_max_ms
+
+    def test_actuals_reach_the_drift_monitor(self, served):
+        server, _, tree = served
+        instances = _default_instances(4, 9)
+        config = LoadConfig(
+            url=server.url,
+            duration_s=0.3,
+            connections=1,
+            batch_rows=4,
+            instances=instances,
+            actuals=tree.predict(np.asarray(instances)).tolist(),
+        )
+        result = run_load(config)
+        assert result.requests > 0 and result.errors == 0
+        window = server.drift.report("latest")["window"]
+        assert window["n"] > 0
+        assert window["n_labelled"] == window["n"]
 
     def test_think_time_caps_throughput(self, served):
         server, _, _ = served

@@ -124,6 +124,22 @@ class TestHeadlineMetrics:
             "profiler_overhead_pct": 2.1,
         }
 
+    def test_serve_v3_rows_are_load_results(self):
+        snapshot = {
+            "schema": "repro-servebench-v3",
+            "results": {
+                "64": {"latency_p50_ms": 1.1, "achieved_rows_per_s": 1.2e5}
+            },
+            "telemetry_overhead": {"overhead_pct": 8.0},
+            "profiler_overhead": {"overhead_pct": 0.5},
+        }
+        assert headline_metrics("serve", snapshot) == {
+            "p50_b64_ms": 1.1,
+            "rows_per_s_b64": 1.2e5,
+            "telemetry_overhead_pct": 8.0,
+            "profiler_overhead_pct": 0.5,
+        }
+
     def test_drift_and_pipeline(self):
         assert headline_metrics(
             "drift",

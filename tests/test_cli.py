@@ -477,6 +477,7 @@ class TestPerfVerbs:
         out = capsys.readouterr().out
         assert code == 0
         assert "injected 2x tree_fit regression: detected" in out
+        assert "injected 1.5x tree_fit regression: detected" in out
         assert "perf check --self-test: ok" in out
 
     def test_perf_record_derives_from_committed_snapshots(
@@ -512,6 +513,24 @@ class TestLoadbenchCommand:
             main(["loadbench", "--mode", "bursty"])
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_zero_batch_rows_is_usage_error_before_any_request(
+        self, capsys, monkeypatch
+    ):
+        import urllib.request
+
+        import repro.loadbench
+
+        def no_request(*args, **kwargs):
+            raise AssertionError("loadbench sent a request")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_request)
+        monkeypatch.setattr(repro.loadbench, "run_load", no_request)
+        code = main(
+            ["loadbench", "--url", "http://127.0.0.1:9", "--batch-rows", "0"]
+        )
+        assert code == 2
+        assert "batch_rows must be >= 1" in capsys.readouterr().err
 
     def test_unreachable_server_fails_fast(self, capsys):
         # Pre-flight /healthz check: no 10s run against a dead port.
