@@ -650,11 +650,15 @@ class _Handler(OneWriteHandler):
                 self._send(200, _json(engine.profile(ref)))
                 return 200
             if method == "POST":
-                # Profile *submitted* rows through the model (Eq. 4).
+                # Profile *submitted* rows through the model (Eq. 4),
+                # by the resolved id: the model that decoded the rows
+                # answers even if a promotion moves the alias meanwhile.
                 body = self._read_body()
-                record, tree = registry.load(ref)
+                record, _ = registry.load(ref)
                 X = _instances_to_matrix(body, record.feature_names)
-                self._send(200, _json(engine.profile_inputs(ref, X)))
+                self._send(
+                    200, _json(engine.profile_inputs(record.model_id, X))
+                )
                 return 200
             raise ApiError(405, "method_not_allowed", "use GET or POST")
         if action == "compare" and len(rest) == 3:
@@ -689,7 +693,7 @@ class _Handler(OneWriteHandler):
         trace = self._trace
         with trace.stage("decode") if trace else nullcontext():
             body = self._read_body()
-            record = self.server.registry.record(ref)
+            record, _ = self.server.registry.load(ref)
             X = _instances_to_matrix(body, record.feature_names)
             smooth = body.get("smooth")
             if smooth is not None and not isinstance(smooth, bool):
@@ -699,19 +703,21 @@ class _Handler(OneWriteHandler):
             actuals = _decode_actuals(body, X.shape[0])
         t_predict = time.perf_counter()
         # The resolved id, not ``ref``: an alias moved by a promotion
-        # since ``record()`` must not pair this id with another model's
+        # since ``load()`` must not pair this id with another model's
         # predictions.
         predictions = self.server.engine.predict(
             record.model_id, X, smooth=smooth, actuals=actuals, trace=trace
         )
         predict_s = time.perf_counter() - t_predict
-        with self.server.stats_lock:
-            _PREDICTIONS.inc(X.shape[0])
-            summary(
-                "serve.predict.latency_s",
-                labels={"model": record.model_id},
-            ).observe(predict_s)
+        # Recording the call is part of answering it, so the respond
+        # stage times it rather than leaving a gap in the timeline.
         with trace.stage("respond") if trace else nullcontext():
+            with self.server.stats_lock:
+                _PREDICTIONS.inc(X.shape[0])
+                summary(
+                    "serve.predict.latency_s",
+                    labels={"model": record.model_id},
+                ).observe(predict_s)
             self._send(
                 200,
                 _json(

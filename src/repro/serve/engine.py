@@ -54,6 +54,7 @@ import numpy as np
 
 from repro.characterization.similarity import l1_difference
 from repro.mtree.compare import compare_trees
+from repro.mtree.tree import ModelTree
 from repro.obs.metrics import counter, gauge, histogram
 from repro.obs.telemetry import RequestTrace
 from repro.obs.trace import span as obs_span
@@ -104,8 +105,10 @@ class BatchConfig:
 class PredictionFuture:
     """Handle to one in-flight prediction.
 
-    Returned by :meth:`PredictionEngine.submit`; the batching worker
-    fulfils it (result or error) and sets its event.  Front ends that
+    Returned by :meth:`PredictionEngine.submit`, which stores on it the
+    tree the request was validated against; the batching worker
+    predicts with that tree — it makes no registry call — then fulfils
+    the future (result or error) and sets its event.  Front ends that
     block call :meth:`result`; front ends that multiplex (asyncio,
     pipe shims) hold the future, poll :attr:`done` or park a thread on
     :meth:`wait`, and collect the result later.  A future is fulfilled
@@ -116,6 +119,7 @@ class PredictionFuture:
         "model_id",
         "smooth",
         "X",
+        "tree",
         "actuals",
         "event",
         "result_array",
@@ -137,10 +141,12 @@ class PredictionFuture:
         X: np.ndarray,
         actuals: Optional[np.ndarray] = None,
         trace: Optional[RequestTrace] = None,
+        tree: Optional[ModelTree] = None,
     ):
         self.model_id = model_id
         self.smooth = smooth
         self.X = X
+        self.tree = tree
         self.actuals = actuals
         self.event = threading.Event()
         self.result_array: Optional[np.ndarray] = None
@@ -302,9 +308,14 @@ class PredictionEngine:
 
         Validation (model existence, shape, finiteness) happens before
         enqueueing, so malformed requests fail fast in the caller's
-        thread and never occupy batch capacity.  The returned
-        :class:`PredictionFuture` is fulfilled by the batching worker;
-        collect it with :meth:`PredictionFuture.result`.
+        thread and never occupy batch capacity.  It costs one
+        :meth:`ModelRegistry.load` — for a cached model, one alias
+        resolve and no metadata read.  The tree it returns rides on the
+        returned :class:`PredictionFuture`, and the batching worker
+        predicts with it, so an accepted request is answered by the
+        tree it was validated against even if the model is evicted or
+        deleted meanwhile.  Collect the result with
+        :meth:`PredictionFuture.result`.
 
         ``actuals`` optionally carries observed CPI values (one per
         row; NaN = unlabelled) for the drift monitor.  They do not
@@ -326,8 +337,8 @@ class PredictionEngine:
             raise RuntimeError("prediction engine is not running")
         t_validate = time.perf_counter()
         try:
-            model_id = self.registry.resolve(ref)
-            _, tree = self.registry.load(model_id)
+            record, tree = self.registry.load(ref)
+            model_id = record.model_id
             X = tree._check_X(X)
             if actuals is not None:
                 actuals = np.asarray(actuals, dtype=float).ravel()
@@ -343,7 +354,9 @@ class PredictionEngine:
             trace.add_stage(
                 "validate", t_validate, time.perf_counter(), model=model_id
             )
-        future = PredictionFuture(model_id, smooth, X, actuals, trace=trace)
+        future = PredictionFuture(
+            model_id, smooth, X, actuals, trace=trace, tree=tree
+        )
         with self._submit_lock:
             if self._closed:
                 raise RuntimeError("prediction engine is not running")
@@ -520,12 +533,15 @@ class PredictionEngine:
                 requests=len(group),
                 rows=rows,
             ):
-                _, tree = self.registry.load(head.model_id)
+                # One model id is one content hash, so every request in
+                # the group carries a bit-identical tree.
                 if len(group) == 1:
-                    predictions = tree.predict(head.X, smooth=head.smooth)
+                    predictions = head.tree.predict(head.X, smooth=head.smooth)
                 else:
                     stacked = np.vstack([r.X for r in group])
-                    predictions = tree.predict(stacked, smooth=head.smooth)
+                    predictions = head.tree.predict(
+                        stacked, smooth=head.smooth
+                    )
             t_kernel_end = time.perf_counter()
             _BATCHES.inc()
             _BATCH_ROWS.observe(rows)

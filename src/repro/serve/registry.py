@@ -32,8 +32,19 @@ equals the previous entry's ``to``, and a reader can never observe a
 dangling or empty alias because the pointer itself is still one
 ``os.replace``.
 
-Deserialized trees are kept in a bounded in-process LRU so a serving
-process pays JSON parsing once per model, not once per request.
+Loaded models are kept in a bounded in-process LRU of (record, tree)
+pairs, so a serving process pays JSON parsing once per model, not once
+per request: a cached :meth:`ModelRegistry.load` is one
+:meth:`~ModelRegistry.resolve` plus an LRU lookup and reads no
+``meta.json``.  The alias is still read from disk on every call, so a
+flip made by another process is served on the next one.
+
+The cached record is the one read or published when the model entered
+the LRU.  A re-publish of the same tree with new metadata through this
+registry replaces it at once.  A re-publish through another registry
+on the same root shows in :meth:`~ModelRegistry.record` and
+:meth:`~ModelRegistry.list_records` at once, since they always read
+``meta.json``, and in ``load()`` after :meth:`~ModelRegistry.evict`.
 """
 
 from __future__ import annotations
@@ -164,7 +175,10 @@ class ModelRegistry:
         # write itself stays a single os.replace for cross-process
         # readers.
         self._alias_lock = threading.Lock()
-        self._trees: "OrderedDict[str, ModelTree]" = OrderedDict()
+        # model id -> (record, tree), least recently used first.
+        self._trees: "OrderedDict[str, Tuple[ModelRecord, ModelTree]]" = (
+            OrderedDict()
+        )
 
     # -- paths -----------------------------------------------------------
 
@@ -216,7 +230,7 @@ class ModelRegistry:
         for alias in aliases:
             self.set_alias(alias, model_id)
         with self._lock:
-            self._remember(model_id, tree)
+            self._remember(record, tree)
         _PUBLISHES.inc()
         return record
 
@@ -312,7 +326,10 @@ class ModelRegistry:
         return read_jsonl(self._alias_history_path(name))[0]
 
     def evict(self, model_id: str) -> None:
-        """Drop a model's tree from the in-process LRU (used by gc)."""
+        """Drop a model's record and tree from the in-process LRU.
+
+        Used by gc; the next :meth:`load` re-reads both from disk.
+        """
         with self._lock:
             self._trees.pop(model_id, None)
 
@@ -339,7 +356,7 @@ class ModelRegistry:
     # -- reading ---------------------------------------------------------
 
     def record(self, ref: str) -> ModelRecord:
-        """The metadata record for a model id or alias."""
+        """The metadata record for a model id or alias, read from disk."""
         model_id = self.resolve(ref)
         meta_path = self._model_dir(model_id) / "meta.json"
         try:
@@ -351,16 +368,22 @@ class ModelRegistry:
         return ModelRecord.from_dict(payload)
 
     def load(self, ref: str) -> Tuple[ModelRecord, ModelTree]:
-        """Record plus deserialized tree, integrity-checked and LRU-cached."""
-        record = self.record(ref)
+        """Record plus deserialized tree, integrity-checked and LRU-cached.
+
+        A hit costs one :meth:`resolve` and reads no metadata; a miss
+        reads and checks ``meta.json``, re-hashes the artifact and
+        deserializes it.
+        """
+        model_id = self.resolve(ref)
         _LOADS.inc()
         with self._lock:
-            cached = self._trees.get(record.model_id)
+            cached = self._trees.get(model_id)
             if cached is not None:
-                self._trees.move_to_end(record.model_id)
+                self._trees.move_to_end(model_id)
                 _CACHE_HITS.inc()
-                return record, cached
+                return cached
         _CACHE_MISSES.inc()
+        record = self.record(model_id)
         artifact_path = self._model_dir(record.model_id) / "artifact.json"
         try:
             raw = artifact_path.read_bytes()
@@ -377,13 +400,13 @@ class ModelRegistry:
             )
         tree = tree_from_dict(json.loads(raw))
         with self._lock:
-            self._remember(record.model_id, tree)
+            self._remember(record, tree)
         return record, tree
 
-    def _remember(self, model_id: str, tree: ModelTree) -> None:
+    def _remember(self, record: ModelRecord, tree: ModelTree) -> None:
         # Caller holds self._lock.
-        self._trees[model_id] = tree
-        self._trees.move_to_end(model_id)
+        self._trees[record.model_id] = (record, tree)
+        self._trees.move_to_end(record.model_id)
         while len(self._trees) > self.max_cached_trees:
             self._trees.popitem(last=False)
 

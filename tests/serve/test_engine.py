@@ -1,5 +1,6 @@
 """Prediction engine: batching semantics, equivalence, drain, queries."""
 
+import shutil
 import threading
 import time
 
@@ -243,6 +244,29 @@ class TestHotSwap:
         np.testing.assert_array_equal(results["old"], tree_a.predict(probe))
         np.testing.assert_array_equal(results["new"], tree_b.predict(probe))
         assert not np.array_equal(results["old"], results["new"])
+
+
+class TestFlushUsesValidatedTree:
+    def test_accepted_request_survives_eviction_and_deletion(
+        self, registry, probe
+    ):
+        """The batcher predicts with the tree ``submit`` validated
+        against, so deleting the model after acceptance cannot fail an
+        accepted request."""
+        tree_a = make_tree(seed=61)
+        a = registry.publish(tree_a)
+        hub = _HoldFirstFlush()
+        with PredictionEngine(registry, drift=hub) as engine:
+            try:
+                engine.predict(a.model_id, probe, timeout=10)
+                assert hub.holding.wait(10)
+                future = engine.submit(a.model_id, probe)
+                registry.evict(a.model_id)
+                shutil.rmtree(registry.root / "models" / a.model_id)
+            finally:
+                hub.release.set()
+            result = future.result(10)
+        np.testing.assert_array_equal(result, tree_a.predict(probe))
 
 
 class TestValidation:

@@ -4,6 +4,7 @@ import json
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,14 +183,14 @@ class TestPredict:
         assert 0.0 <= body["l1_vs_training_pct"] <= 100.0
 
 
-class _PromotedAfterRecord(ModelRegistry):
+class _PromotedAfterLoad(ModelRegistry):
     """Moves ``latest`` to :attr:`promote_to` right after the next
-    ``record()`` returns: a promotion landing mid-request."""
+    ``load()`` returns: a promotion landing mid-request."""
 
     promote_to = None
 
-    def record(self, ref):
-        result = super().record(ref)
+    def load(self, ref):
+        result = super().load(ref)
         if self.promote_to is not None:
             target, self.promote_to = self.promote_to, None
             self.move_alias("latest", target, reason="mid-request promotion")
@@ -198,7 +199,7 @@ class _PromotedAfterRecord(ModelRegistry):
 
 class TestPredictUnderPromotion:
     def test_response_names_the_model_that_predicted(self, tmp_path, probe):
-        registry = _PromotedAfterRecord(tmp_path / "registry")
+        registry = _PromotedAfterLoad(tmp_path / "registry")
         tree_a, tree_b = make_tree(seed=51), make_tree(seed=52)
         a = registry.publish(tree_a)  # takes 'latest'
         b = registry.publish(tree_b, aliases=())
@@ -215,6 +216,72 @@ class TestPredictUnderPromotion:
         np.testing.assert_array_equal(
             np.asarray(body["predictions"]), named.predict(probe)
         )
+
+
+class TestProfileUnderPromotion:
+    def test_rows_profiled_by_the_model_that_decoded_them(
+        self, tmp_path, probe
+    ):
+        registry = _PromotedAfterLoad(tmp_path / "registry")
+        a = registry.publish(make_tree(seed=53))  # takes 'latest'
+        b = registry.publish(make_tree(seed=54), aliases=())
+        registry.promote_to = b.model_id
+        with ModelServer(registry, port=0, monitor=False) as running:
+            status, body = post_json(
+                running,
+                "/v1/models/latest/profile",
+                {"instances": probe.tolist()},
+            )
+        assert status == 200
+        assert registry.resolve("latest") == b.model_id  # it did land
+        assert body["model_id"] == a.model_id
+
+
+class _CountingRecords(ModelRegistry):
+    """Counts ``record()`` calls."""
+
+    records = 0
+
+    def record(self, ref):
+        self.records += 1
+        return super().record(ref)
+
+
+class TestCachedPredict:
+    def test_cached_predict_reads_no_metadata(
+        self, tmp_path, tiny_tree, probe, monkeypatch
+    ):
+        registry = _CountingRecords(tmp_path / "registry")
+        registry.publish(tiny_tree)
+        meta_reads = []
+        read_text = Path.read_text
+
+        def counting_read_text(path, *args, **kwargs):
+            if path.name == "meta.json":
+                meta_reads.append(path)
+            return read_text(path, *args, **kwargs)
+
+        payload = {"instances": probe.tolist()}
+        with ModelServer(registry, port=0, monitor=False) as running:
+            warm_up, _ = post_json(
+                running, "/v1/models/latest/predict", payload
+            )
+            assert warm_up == 200
+            registry.records = 0
+            monkeypatch.setattr(Path, "read_text", counting_read_text)
+            bodies = [
+                post_json(running, "/v1/models/latest/predict", payload)
+                for _ in range(5)
+            ]
+            monkeypatch.undo()
+        assert registry.records == 0
+        assert meta_reads == []
+        expected = tiny_tree.predict(probe)
+        for status, body in bodies:
+            assert status == 200
+            np.testing.assert_array_equal(
+                np.asarray(body["predictions"]), expected
+            )
 
 
 class TestValidation:

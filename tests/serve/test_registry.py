@@ -1,11 +1,14 @@
 """Registry behaviour: publishing, aliasing, integrity, concurrency."""
 
 import json
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro.mtree.serialize import tree_to_dict
+from repro.obs.metrics import get_registry
 from repro.serve.registry import (
     ALIAS_HISTORY_SCHEMA,
     CorruptArtifact,
@@ -167,6 +170,90 @@ class TestLru:
     def test_invalid_bound_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             ModelRegistry(tmp_path, max_cached_trees=0)
+
+
+class TestCachedRecord:
+    """``load()`` serves the record cached with the tree."""
+
+    def test_hit_counts_as_a_load_and_a_cache_hit(self, registry, tiny_tree):
+        record = registry.publish(tiny_tree)
+        metrics = get_registry()
+        loads = metrics.counter("serve.registry.loads").value
+        hits = metrics.counter("serve.registry.cache_hits").value
+        assert registry.load("latest") == registry.load(record.model_id)
+        assert metrics.counter("serve.registry.loads").value == loads + 2
+        assert metrics.counter("serve.registry.cache_hits").value == hits + 2
+
+    def test_republish_in_process_replaces_cached_record(
+        self, registry, tiny_tree
+    ):
+        first = registry.publish(tiny_tree, metadata={"v": 1})
+        assert registry.load(first.model_id)[0].metadata == {"v": 1}
+        second = registry.publish(tiny_tree, metadata={"v": 2})
+        assert registry.load(first.model_id)[0] == second
+
+    def test_republish_by_another_registry_shows_after_evict(
+        self, registry, tiny_tree
+    ):
+        first = registry.publish(tiny_tree, metadata={"v": 1})
+        ModelRegistry(registry.root).publish(tiny_tree, metadata={"v": 2})
+        assert registry.record(first.model_id).metadata == {"v": 2}
+        assert registry.load(first.model_id)[0].metadata == {"v": 1}
+        registry.evict(first.model_id)
+        assert registry.load(first.model_id)[0].metadata == {"v": 2}
+
+    def test_concurrent_loads_keep_records_paired_with_trees(
+        self, tmp_path
+    ):
+        """A two-slot LRU over three models, hit and missed from six
+        threads: every load returns the record and tree of one model."""
+        registry = ModelRegistry(tmp_path, max_cached_trees=2)
+        expected = {}
+        for seed in (3, 4, 5):
+            tree = make_tree(seed=seed)
+            record = registry.publish(tree, aliases=())
+            expected[record.model_id] = tree_to_dict(tree)
+        ids = list(expected)
+        mismatches = []
+
+        def churn(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            for k in rng.integers(len(ids), size=30):
+                model_id = ids[k]
+                try:
+                    record, tree = registry.load(model_id)
+                    paired = record.model_id == model_id and (
+                        tree_to_dict(tree) == expected[model_id]
+                    )
+                except Exception as error:  # pragma: no cover
+                    paired = error
+                if paired is not True:
+                    mismatches.append((model_id, paired))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=churn, args=(k,)) for k in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        assert len(registry._trees) == 2
+
+    def test_alias_moved_by_another_registry_is_seen_at_once(
+        self, registry
+    ):
+        a = registry.publish(make_tree(seed=3))
+        b = registry.publish(make_tree(seed=4), aliases=())
+        assert registry.load("latest")[0].model_id == a.model_id
+        ModelRegistry(registry.root).move_alias("latest", b.model_id)
+        assert registry.load("latest")[0].model_id == b.model_id
 
 
 class TestAliasHistory:
