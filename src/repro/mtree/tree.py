@@ -125,13 +125,15 @@ class ModelTree:
         self._leaf_by_name: Dict[str, LeafNode] = {}
         # Lazily-built compiled evaluators, keyed by dtype and pinned
         # to the root they were compiled from (refitting replaces the
-        # root object, which invalidates the cache by identity).
-        self._compiled_root: Optional[TreeNode] = None
-        self._compiled_cache: Dict = {}
+        # root object, which invalidates the cache by identity).  Each
+        # cache is one (root, value) attribute, replaced whole, so a
+        # thread never sees a root paired with another root's value.
+        self._compiled_cache: Tuple[Optional[TreeNode], Dict] = (None, {})
         # The smoothing-composed twin (see ``_composed``), cached and
         # invalidated the same way.
-        self._composed_root: Optional[TreeNode] = None
-        self._composed_tree: Optional["ModelTree"] = None
+        self._composed_cache: Tuple[
+            Optional[TreeNode], Optional["ModelTree"]
+        ] = (None, None)
         # Fit-time working state (populated only inside ``fit``).
         self._fit_y: Optional[np.ndarray] = None
         self._fit_XT: Optional[np.ndarray] = None
@@ -488,19 +490,21 @@ class ModelTree:
         The cache is keyed by dtype and invalidated when the tree is
         refitted (the root object changes identity).  Serving paths
         that hold a tree — the registry LRU, the prediction engine, the
-        drift hub — therefore compile each model exactly once.
+        drift hub — therefore compile each model once.  Threads racing
+        on a fresh tree may each compile it; every one gets a complete
+        evaluator, and the last to publish stays cached.
         """
         from repro.mtree.compiled import CompiledTree
 
         root = self._require_fitted()
-        if self._compiled_root is not root:
-            self._compiled_cache = {}
-            self._compiled_root = root
         key = np.dtype(dtype)
-        evaluator = self._compiled_cache.get(key)
+        built_for, evaluators = self._compiled_cache
+        if built_for is not root:
+            evaluators = {}
+        evaluator = evaluators.get(key)
         if evaluator is None:
             evaluator = CompiledTree(self, dtype=key)
-            self._compiled_cache[key] = evaluator
+            self._compiled_cache = (root, {**evaluators, key: evaluator})
         return evaluator
 
     def _composed(self) -> "ModelTree":
@@ -514,13 +518,13 @@ class ModelTree:
         bit for bit because they share the arithmetic.
         """
         root = self._require_fitted()
-        if self._composed_root is not root:
-            self._composed_root = root
-            self._composed_tree = (
+        built_for, composed = self._composed_cache
+        if built_for is not root:
+            composed = (
                 compose_smoothed(self) if self.config.smoothing_k > 0 else self
             )
-        assert self._composed_tree is not None
-        return self._composed_tree
+            self._composed_cache = (root, composed)
+        return composed
 
     def predict(
         self,

@@ -107,9 +107,11 @@ _IDLE_LEAVES = {
     ("subprocess", "_try_wait"),
     ("multiprocessing.connection", "poll"),
     ("concurrent.futures._base", "result"),
-    # The batching worker parks in C-level SimpleQueue.get between
-    # batches, leaving its loop body as the visible leaf.
+    # The engine's batcher parks in C-level SimpleQueue.get between
+    # batches (and in the flush lock's acquire, or a window's timed
+    # get), leaving its loop body as the visible leaf.
     ("repro.serve.engine", "_run"),
+    ("repro.serve.engine", "_coalesce"),
 }
 
 #: Thread-name prefixes mapped to stable role labels; anything else

@@ -16,15 +16,16 @@ reconstructable timeline:
   (``decode``, ``validate``, ``queue_wait``, ``batch_assembly``,
   ``kernel``, ``respond``, ``drift_observe``) as offsets against one
   ``perf_counter`` origin, so stages measured on the handler thread
-  and on the batching worker line up on a single timeline.
+  and on whichever thread flushed the batch line up on a single
+  timeline.
 * **Emission** — the handler thread emits one ``kind="http"`` record
-  carrying the full request timeline: the batching worker only stamps
-  raw perf_counter marks on each request (it is the serial throughput
-  bottleneck, so it must not build records or touch the log), and the
-  handler converts them to spans after waking.  Only ``drift_observe``
-  — which runs after the response is on the wire — arrives as a
-  supplementary ``kind="engine"`` record from the worker, and only
-  when a drift hub is attached.
+  carrying the full request timeline: a flush only stamps raw
+  perf_counter marks on each request (flushes are serialized, so they
+  must not build records or touch the log), and the handler converts
+  them to spans once the result is in.  Only ``drift_observe`` — which
+  runs after the response is on the wire — arrives as a supplementary
+  ``kind="engine"`` record from the engine's batcher, and only when a
+  drift hub is attached.
 * **Reconstruction** — :func:`reconstruct_traces` folds those records
   back into one :class:`TraceView` per trace ID, from which the span
   tree, per-stage durations and latency coverage fall out.

@@ -2,8 +2,9 @@
 
 Stdlib only (:mod:`http.server`): each connection is handled on its own
 thread by ``ThreadingHTTPServer`` while all predictions funnel through
-the engine's single batching worker — many slow clients, one fast
-vectorized compute path.
+the engine's serialized flushes — many slow clients, one fast
+vectorized compute path.  A predict that finds the engine idle flushes
+on its handler thread; the rest coalesce on the engine's batcher.
 
 Routes (see ``docs/SERVING.md`` for the full reference)::
 
@@ -693,7 +694,7 @@ class _Handler(OneWriteHandler):
         trace = self._trace
         with trace.stage("decode") if trace else nullcontext():
             body = self._read_body()
-            record, _ = self.server.registry.load(ref)
+            record, tree = self.server.registry.load(ref)
             X = _instances_to_matrix(body, record.feature_names)
             smooth = body.get("smooth")
             if smooth is not None and not isinstance(smooth, bool):
@@ -702,11 +703,12 @@ class _Handler(OneWriteHandler):
                 )
             actuals = _decode_actuals(body, X.shape[0])
         t_predict = time.perf_counter()
-        # The resolved id, not ``ref``: an alias moved by a promotion
-        # since ``load()`` must not pair this id with another model's
+        # The loaded (record, tree) pair, not ``ref``: the engine makes
+        # no second registry lookup, and an alias moved by a promotion
+        # since ``load()`` cannot pair this id with another model's
         # predictions.
         predictions = self.server.engine.predict(
-            record.model_id, X, smooth=smooth, actuals=actuals, trace=trace
+            (record, tree), X, smooth=smooth, actuals=actuals, trace=trace
         )
         predict_s = time.perf_counter() - t_predict
         # Recording the call is part of answering it, so the respond

@@ -36,8 +36,14 @@ Loaded models are kept in a bounded in-process LRU of (record, tree)
 pairs, so a serving process pays JSON parsing once per model, not once
 per request: a cached :meth:`ModelRegistry.load` is one
 :meth:`~ModelRegistry.resolve` plus an LRU lookup and reads no
-``meta.json``.  The alias is still read from disk on every call, so a
-flip made by another process is served on the next one.
+``meta.json``.  :meth:`~ModelRegistry.resolve` runs on every predict,
+so it stays lean: string paths, an ``os.path.exists`` probe for the
+id, and one ``os.open``/``os.read``/``os.close`` for the alias.  The
+alias is read from disk on every call, with no cache of any kind, so
+a flip made by another process is served on the next one.  (A cache
+keyed on the alias file's stat could not tell two flips apart: every
+alias is 16 bytes, and the rename behind a flip can hand a freed inode
+number back within one timestamp tick.)
 
 The cached record is the one read or published when the model entered
 the LRU.  A re-publish of the same tree with new metadata through this
@@ -51,6 +57,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 import time
 from collections import OrderedDict
@@ -84,6 +91,10 @@ _ID_LENGTH = 16
 RECORD_SCHEMA = "repro-model-record-v1"
 
 ALIAS_HISTORY_SCHEMA = "repro-alias-move-v1"
+
+#: Bytes read from an alias file: a 16-digit id plus a hand-written
+#: newline fits many times over.
+_ALIAS_READ_BYTES = 4096
 
 
 class RegistryError(Exception):
@@ -142,6 +153,11 @@ class ModelRecord:
         )
 
 
+def _check_alias_name(name: str) -> None:
+    if not name or any(ch in name for ch in "/\\\0") or name.startswith("."):
+        raise RegistryError(f"invalid alias name {name!r}")
+
+
 def _canonical_artifact(tree: ModelTree) -> bytes:
     """The canonical bytes a model id and integrity hash are taken over."""
     return json.dumps(
@@ -169,6 +185,9 @@ class ModelRegistry:
             )
         self.root = Path(root)
         self.max_cached_trees = max_cached_trees
+        # String directories for resolve(), which runs on every predict.
+        self._models_dir = os.path.join(self.root, "models")
+        self._aliases_dir = os.path.join(self.root, "aliases")
         self._lock = threading.Lock()
         # Serializes move_alias/drop_alias so (read prior, re-point,
         # record history) is atomic within this process; the pointer
@@ -186,8 +205,7 @@ class ModelRegistry:
         return self.root / "models" / model_id
 
     def _alias_path(self, name: str) -> Path:
-        if not name or any(ch in name for ch in "/\\\0") or name.startswith("."):
-            raise RegistryError(f"invalid alias name {name!r}")
+        _check_alias_name(name)
         return self.root / "aliases" / name
 
     def _alias_history_path(self, name: str) -> Path:
@@ -250,10 +268,32 @@ class ModelRegistry:
         if not alias_dir.is_dir():
             return {}
         return {
-            path.name: path.read_text().strip()
+            path.name: target
             for path in sorted(alias_dir.iterdir())
-            if path.is_file()
+            if (target := self._read_alias(path.name)) is not None
         }
+
+    def _read_alias(self, name: str) -> Optional[str]:
+        """The id an alias file holds, or None when there is no alias.
+
+        One open, one read and one close.  Anything at the path that
+        is not a readable regular file (nothing, a directory) is no
+        alias, as ``Path.is_file()`` made it; ``O_NONBLOCK`` keeps a
+        FIFO there from hanging the caller.
+        """
+        try:
+            fd = os.open(
+                f"{self._aliases_dir}/{name}", os.O_RDONLY | os.O_NONBLOCK
+            )
+        except OSError:
+            return None
+        try:
+            raw = os.read(fd, _ALIAS_READ_BYTES)
+        except OSError:  # EISDIR: a directory opens, but does not read
+            return None
+        finally:
+            os.close(fd)
+        return os.fsdecode(raw).strip()
 
     def move_alias(
         self,
@@ -271,10 +311,8 @@ class ModelRegistry:
         mid-flip.
         """
         with self._alias_lock:
-            alias_path = self._alias_path(name)
-            prior: Optional[str] = None
-            if alias_path.is_file():
-                prior = alias_path.read_text().strip() or None
+            _check_alias_name(name)
+            prior = self._read_alias(name) or None
             self.set_alias(name, model_id)  # validates target, atomic
             entry = {
                 "schema": ALIAS_HISTORY_SCHEMA,
@@ -300,14 +338,14 @@ class ModelRegistry:
         """
         with self._alias_lock:
             alias_path = self._alias_path(name)
-            if not alias_path.is_file():
+            prior = self._read_alias(name)
+            if prior is None:
                 return None
-            prior = alias_path.read_text().strip() or None
             alias_path.unlink()
             entry = {
                 "schema": ALIAS_HISTORY_SCHEMA,
                 "alias": name,
-                "from": prior,
+                "from": prior or None,
                 "to": None,
                 "reason": reason,
                 "actor": actor,
@@ -334,16 +372,20 @@ class ModelRegistry:
             self._trees.pop(model_id, None)
 
     def resolve(self, ref: str) -> str:
-        """Map a model id or alias to a model id (id wins on collision)."""
-        if (self._model_dir(ref) / "meta.json").exists():
+        """Map a model id or alias to a model id (id wins on collision).
+
+        The alias is read from disk on every call.  A dangling alias
+        and an invalid alias name raise :class:`ModelNotFound`.
+        """
+        if os.path.exists(f"{self._models_dir}/{ref}/meta.json"):
             return ref
         try:
-            alias_path = self._alias_path(ref)
+            _check_alias_name(ref)
         except RegistryError:
             raise ModelNotFound(f"no model or alias {ref!r} in {self.root}")
-        if alias_path.is_file():
-            target = alias_path.read_text().strip()
-            if (self._model_dir(target) / "meta.json").exists():
+        target = self._read_alias(ref)
+        if target is not None:
+            if os.path.exists(f"{self._models_dir}/{target}/meta.json"):
                 return target
             raise ModelNotFound(
                 f"alias {ref!r} points at missing model {target!r}"

@@ -8,11 +8,15 @@ slicing.  float32 mode must route identically and agree within the
 tolerance documented in docs/PERFORMANCE.md.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mtree import tree as tree_module
 from repro.mtree.compiled import CompiledForest, CompiledTree
 from repro.mtree.tree import ModelTree, ModelTreeConfig
 
@@ -149,6 +153,46 @@ class TestCompiledCache:
         X = rng.normal(size=(100, len(tree.feature_names)))
         tree.fit(X, X[:, 0], tree.feature_names)
         assert tree.compiled() is not first
+
+    def test_first_use_from_many_threads(self, monkeypatch):
+        """Threads racing through a fresh tree's lazy compile all get
+        its predictions.  A slow smoothing composition holds the race
+        window open: a thread must never find the cache pointing at
+        this root before the composed tree is in it."""
+        tree, probe = random_tree(12)
+        twin, _ = random_tree(12)
+        expected = twin.predict(probe)
+        compose = tree_module.compose_smoothed
+
+        def slow_compose(fitted):
+            time.sleep(0.05)
+            return compose(fitted)
+
+        monkeypatch.setattr(tree_module, "compose_smoothed", slow_compose)
+        n_threads = 4
+        barrier = threading.Barrier(n_threads)
+        results = [None] * n_threads
+        errors = []
+
+        def call(index: int) -> None:
+            try:
+                barrier.wait(10)
+                results[index] = tree.predict(probe)
+            except Exception as error:
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=call, args=(i,)) for i in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for got in results:
+            np.testing.assert_array_equal(got, expected)
+        assert tree.compiled() is tree.compiled()
 
     def test_leaf_names_in_lm_order(self, cpu_tree):
         assert list(cpu_tree.compiled().leaf_names) == cpu_tree.leaf_names()

@@ -1,6 +1,7 @@
 """Prediction engine: batching semantics, equivalence, drain, queries."""
 
 import shutil
+import sys
 import threading
 import time
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.obs.metrics import get_registry
+from repro.obs.telemetry import RequestTrace
 from repro.serve import engine as engine_module
 from repro.serve.engine import BatchConfig, PredictionEngine
 from repro.serve.registry import ModelNotFound
@@ -202,6 +204,288 @@ class TestWorkConserving:
         X = np.random.default_rng(18).random((4, 3))
         batch = BatchConfig(max_batch=8)
         assert self._flushes(published, tiny_tree, batch, [X] * 4) == 2
+
+
+class _KernelLog:
+    """Stands in for one tree's ``predict`` and logs every batch.
+
+    Records the thread that ran each batch and a copy of its rows, in
+    call order; flushes are serialized, so that is flush order.  With
+    ``hold_first`` the first batch parks in the kernel, holding the
+    engine's flush lock, until :attr:`release` is set.
+    """
+
+    def __init__(self, tree, hold_first: bool = False) -> None:
+        self.calls = []
+        self.holding = threading.Event()
+        self.release = threading.Event()
+        self._hold = hold_first
+        self._predict = tree.predict
+        tree.predict = self
+
+    def __call__(self, X, smooth=None):
+        self.calls.append((threading.current_thread().name, X.copy()))
+        if self._hold and not self.holding.is_set():
+            self.holding.set()
+            self.release.wait(30)
+        return self._predict(X, smooth=smooth)
+
+    @property
+    def threads(self):
+        return [name for name, _ in self.calls]
+
+
+class _RecordingHub:
+    """Drift-hub stand-in that records each batch it observes."""
+
+    def __init__(self) -> None:
+        self.calls = []
+
+    def observe(self, model_id, X, predictions, actuals) -> None:
+        self.calls.append((threading.current_thread().name, X.copy()))
+
+
+def _wait_for(condition, timeout=10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+BATCHER = "repro-serve-batcher"
+
+
+class TestIdleFlush:
+    """An idle ``predict()`` flushes on its own thread; the rest queue."""
+
+    @pytest.fixture
+    def served(self, registry):
+        tree = make_tree(seed=71)
+        twin = make_tree(seed=71)
+        record = registry.publish(tree)
+        return registry, record, tree, twin
+
+    def test_idle_predict_runs_on_the_calling_thread(self, served, probe):
+        registry, record, tree, twin = served
+        kernel = _KernelLog(tree)
+        trace = RequestTrace("idle-1")
+        with PredictionEngine(registry) as engine:
+            result = engine.predict(record.model_id, probe, trace=trace)
+        assert kernel.threads == [threading.current_thread().name]
+        np.testing.assert_array_equal(result, twin.predict(probe))
+        stages = {stage["stage"]: stage for stage in trace.stages}
+        assert list(stages) == [
+            "validate", "queue_wait", "batch_assembly", "kernel"
+        ]
+        assert stages["queue_wait"]["duration_s"] == 0.0
+        assert stages["kernel"]["batch_requests"] == 1
+
+    def test_requests_during_a_held_flush_coalesce_on_the_batcher(
+        self, served
+    ):
+        registry, record, tree, twin = served
+        kernel = _KernelLog(tree, hold_first=True)
+        rng = np.random.default_rng(73)
+        inputs = [rng.random((rows, 3)) for rows in (2, 3, 1, 4, 5)]
+        results = [None] * len(inputs)
+        errors = []
+        metrics = get_registry()
+        batches = metrics.counter("serve.engine.batches")
+        requests = metrics.counter("serve.engine.requests")
+
+        def call(index: int) -> None:
+            try:
+                results[index] = engine.predict(
+                    record.model_id, inputs[index], timeout=30
+                )
+            except Exception as error:  # pragma: no cover
+                errors.append(error)
+
+        with PredictionEngine(registry) as engine:
+            batches_before = batches.value
+            first = threading.Thread(target=call, args=(0,), name="first")
+            first.start()
+            try:
+                assert kernel.holding.wait(10)
+                requests_before = requests.value
+                others = [
+                    threading.Thread(target=call, args=(i,))
+                    for i in range(1, len(inputs))
+                ]
+                for thread in others:
+                    thread.start()
+                # The held flush owns the lock, so each one queues.
+                assert _wait_for(
+                    lambda: requests.value
+                    == requests_before + len(others)
+                )
+            finally:
+                kernel.release.set()
+            for thread in [first, *others]:
+                thread.join(30)
+            flushed = batches.value - batches_before
+        assert not any(t.is_alive() for t in [first, *others])
+        assert not errors
+        assert flushed == 2
+        assert kernel.threads == ["first", BATCHER]
+        assert kernel.calls[1][1].shape[0] == sum(
+            X.shape[0] for X in inputs[1:]
+        )
+        for X, got in zip(inputs, results):
+            np.testing.assert_array_equal(got, twin.predict(X))
+
+    def test_window_always_queues(self, served, probe):
+        registry, record, tree, twin = served
+        kernel = _KernelLog(tree)
+        batch = BatchConfig(max_wait_s=0.001)
+        with PredictionEngine(registry, batch=batch) as engine:
+            result = engine.predict(record.model_id, probe)
+        assert kernel.threads == [BATCHER]
+        np.testing.assert_array_equal(result, twin.predict(probe))
+
+    def test_submit_always_queues(self, served, probe):
+        registry, record, tree, twin = served
+        kernel = _KernelLog(tree)
+        with PredictionEngine(registry) as engine:
+            result = engine.submit(record.model_id, probe).result(10)
+        assert kernel.threads == [BATCHER]
+        np.testing.assert_array_equal(result, twin.predict(probe))
+
+    def test_loaded_pair_skips_the_registry(self, served, probe):
+        registry, record, tree, twin = served
+        pair = registry.load(record.model_id)
+        loads = get_registry().counter("serve.registry.loads")
+        with PredictionEngine(registry) as engine:
+            before = loads.value
+            result = engine.predict(pair, probe)
+            assert loads.value == before
+        np.testing.assert_array_equal(result, twin.predict(probe))
+
+
+class TestDriftHandOff:
+    """Only the batcher feeds the hub, once per batch, in flush order."""
+
+    def test_hub_sees_every_batch_once_in_flush_order(self, registry):
+        tree = make_tree(seed=74)
+        record = registry.publish(tree)
+        kernel = _KernelLog(tree)
+        hub = _RecordingHub()
+        rng = np.random.default_rng(75)
+        errors = []
+
+        def caller(seed: int) -> None:
+            local = np.random.default_rng(seed)
+            try:
+                for _ in range(15):
+                    X = local.random((int(local.integers(1, 6)), 3))
+                    if local.random() < 0.3:
+                        engine.submit(record.model_id, X).result(10)
+                    else:
+                        engine.predict(record.model_id, X)
+            except Exception as error:  # pragma: no cover
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with PredictionEngine(registry, drift=hub) as engine:
+                engine.predict(record.model_id, rng.random((3, 3)))
+                threads = [
+                    threading.Thread(target=caller, args=(seed,))
+                    for seed in (1, 2, 3)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert kernel.threads[0] == threading.current_thread().name
+        assert {name for name, _ in hub.calls} == {BATCHER}
+        assert len(hub.calls) == len(kernel.calls)
+        for (_, observed), (_, flushed) in zip(hub.calls, kernel.calls):
+            np.testing.assert_array_equal(observed, flushed)
+
+    def test_stop_waits_out_an_idle_flush_and_observes_it(
+        self, registry, probe
+    ):
+        tree = make_tree(seed=77)
+        record = registry.publish(tree)
+        kernel = _KernelLog(tree, hold_first=True)
+        hub = _RecordingHub()
+        engine = PredictionEngine(registry, drift=hub).start()
+        results = []
+        caller = threading.Thread(
+            target=lambda: results.append(
+                engine.predict(record.model_id, probe)
+            )
+        )
+        caller.start()
+        stopper = threading.Thread(target=engine.stop)
+        try:
+            assert kernel.holding.wait(10)
+            stopper.start()
+            stopper.join(0.2)
+            # The held flush owns the lock the shutdown drain takes.
+            assert stopper.is_alive()
+        finally:
+            kernel.release.set()
+        stopper.join(10)
+        caller.join(10)
+        assert not stopper.is_alive() and not caller.is_alive()
+        assert len(results) == 1
+        assert [name for name, _ in hub.calls] == [BATCHER]
+        np.testing.assert_array_equal(hub.calls[0][1], probe)
+
+    def test_predict_racing_stop_is_observed_or_refused(self, registry):
+        tree = make_tree(seed=76)
+        record = registry.publish(tree)
+        hub = _RecordingHub()
+        engine = PredictionEngine(registry, drift=hub).start()
+        completed, refused = [], []
+        some_done = threading.Event()
+
+        def caller(seed: int) -> None:
+            local = np.random.default_rng(seed)
+            while True:
+                X = local.random((2, 3))
+                try:
+                    engine.predict(record.model_id, X, timeout=10)
+                except RuntimeError:
+                    refused.append(seed)
+                    return
+                completed.append(X)
+                if len(completed) >= 6:
+                    some_done.set()
+
+        threads = [
+            threading.Thread(target=caller, args=(seed,))
+            for seed in (11, 12, 13)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            assert some_done.wait(10)
+            engine.stop()
+            observed = {
+                row.tobytes() for _, X in list(hub.calls) for row in X
+            }
+            for thread in threads:
+                thread.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(refused) == [11, 12, 13]
+        assert len(completed) >= 6
+        for X in completed:
+            for row in X:
+                assert row.tobytes() in observed
 
 
 class TestHotSwap:

@@ -284,6 +284,39 @@ class TestCachedPredict:
             )
 
 
+class _CountingLoads(_CountingRecords):
+    """Counts ``load()`` and ``record()`` calls."""
+
+    loads = 0
+
+    def load(self, ref):
+        self.loads += 1
+        return super().load(ref)
+
+
+class TestOneLookupPerPredict:
+    def test_warm_predict_loads_once(self, tmp_path, tiny_tree, probe):
+        """The handler's ``load()`` is the request's only registry
+        lookup: the engine validates against the pair it returned."""
+        registry = _CountingLoads(tmp_path / "registry")
+        registry.publish(tiny_tree)
+        payload = {"instances": probe.tolist()}
+        with ModelServer(registry, port=0, monitor=False) as running:
+            warm_up, _ = post_json(
+                running, "/v1/models/latest/predict", payload
+            )
+            assert warm_up == 200
+            registry.loads = registry.records = 0
+            status, body = post_json(
+                running, "/v1/models/latest/predict", payload
+            )
+            assert (registry.loads, registry.records) == (1, 0)
+        assert status == 200
+        np.testing.assert_array_equal(
+            np.asarray(body["predictions"]), tiny_tree.predict(probe)
+        )
+
+
 class TestValidation:
     def test_unknown_model_404(self, server):
         status, body = post_json(

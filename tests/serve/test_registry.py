@@ -111,6 +111,64 @@ class TestAliases:
             pytest.fail("expected ModelNotFound")
 
 
+class TestResolve:
+    """``resolve()`` runs on every predict; its semantics are pinned."""
+
+    def test_id_wins_over_alias_of_same_name(self, registry):
+        a = registry.publish(make_tree(seed=3), aliases=())
+        b = registry.publish(make_tree(seed=4), aliases=())
+        registry.set_alias(a.model_id, b.model_id)
+        assert registry.aliases() == {a.model_id: b.model_id}
+        assert registry.resolve(a.model_id) == a.model_id
+
+    def test_dangling_alias_names_missing_target(self, registry):
+        (registry.root / "aliases").mkdir(parents=True)
+        (registry.root / "aliases" / "prod").write_text("0123456789abcdef")
+        with pytest.raises(ModelNotFound) as caught:
+            registry.resolve("prod")
+        assert str(caught.value) == (
+            "alias 'prod' points at missing model '0123456789abcdef'"
+        )
+
+    def test_directory_at_alias_path_is_no_such_alias(
+        self, registry, tiny_tree
+    ):
+        record = registry.publish(tiny_tree, aliases=("prod",))
+        (registry.root / "aliases" / "latest").mkdir()
+        with pytest.raises(ModelNotFound, match="no model or alias 'latest'"):
+            registry.resolve("latest")
+        assert registry.aliases() == {"prod": record.model_id}
+
+    @pytest.mark.parametrize(
+        "bad", ["", "a/b", "..", ".hidden", "a\\b", "a\0b"]
+    )
+    def test_invalid_alias_name_rejected(self, registry, tiny_tree, bad):
+        registry.publish(tiny_tree)
+        with pytest.raises(ModelNotFound, match="no model or alias"):
+            registry.resolve(bad)
+
+    def test_hand_written_alias_with_trailing_newline(
+        self, registry, tiny_tree
+    ):
+        record = registry.publish(tiny_tree, aliases=())
+        (registry.root / "aliases").mkdir(parents=True)
+        (registry.root / "aliases" / "prod").write_text(
+            record.model_id + "\n"
+        )
+        assert registry.resolve("prod") == record.model_id
+        assert registry.aliases() == {"prod": record.model_id}
+
+    def test_flip_by_another_registry_is_seen_by_the_next_call(
+        self, registry
+    ):
+        a = registry.publish(make_tree(seed=3))
+        b = registry.publish(make_tree(seed=4), aliases=())
+        other = ModelRegistry(registry.root)
+        for target in (b, a, b, a, b):
+            other.move_alias("latest", target.model_id)
+            assert registry.resolve("latest") == target.model_id
+
+
 class TestIntegrity:
     def test_corrupted_artifact_detected(self, registry, tiny_tree):
         record = registry.publish(tiny_tree)
