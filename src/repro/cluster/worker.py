@@ -96,7 +96,6 @@ def worker_main(spec: WorkerSpec, sockets: List[socket.socket], conn) -> None:
     from repro.obs.metrics import get_registry
     from repro.serve.api import ModelServer
     from repro.serve.registry import ModelRegistry
-    from repro.serve.status import build_status_document
     from repro.cluster.watch import AliasWatcher
 
     get_registry().reset()
@@ -133,20 +132,7 @@ def worker_main(spec: WorkerSpec, sockets: List[socket.socket], conn) -> None:
     signal.signal(signal.SIGINT, _on_sigterm)
 
     def _status_document() -> Dict[str, Any]:
-        with server.stats_lock:
-            recent = list(server.recent_latency)
-        document = build_status_document(
-            registry,
-            server.engine,
-            drift=server.drift,
-            slo=server.slo,
-            events=server.telemetry,
-            recent_latency_s=recent,
-            started_unix=server.started_unix,
-            pipeline=server.pipeline,
-            profiler=server.profiler,
-            replica=server.replica,
-        )
+        document = server.status_document()
         if watcher is not None:
             document["alias_watch"] = watcher.report()
         return document

@@ -5,10 +5,10 @@ once, offline: does a model trained on suite L1 transfer to suite L2?
 This package answers it *continuously*, over the traffic a deployed
 model actually sees:
 
-* :mod:`~repro.drift.window` — fixed-memory sliding/tumbling windows
-  holding the sufficient statistics of recent traffic.
+* :mod:`~repro.drift.window` — a fixed-memory ring of the latest
+  records; each snapshot recomputes their statistics exactly.
 * :mod:`~repro.drift.stats` — the Section VI battery (Eqs. 8-13 plus
-  Eq. 4 leaf-profile distance) as incremental detectors.
+  Eq. 4 leaf-profile distance) as detectors over window snapshots.
 * :mod:`~repro.drift.monitor` — the verdict state machine with
   hysteresis, obs gauges and pluggable actions (log, JSONL audit,
   retrain trigger).

@@ -142,7 +142,6 @@ class DriftMonitorConfig:
     """Window geometry, thresholds and hysteresis for one monitor."""
 
     window: int = 256
-    window_kind: str = "sliding"
     criteria: DriftCriteria = field(default_factory=DriftCriteria)
     fail_after: int = 3
     recover_after: int = 3
@@ -150,11 +149,6 @@ class DriftMonitorConfig:
     def __post_init__(self) -> None:
         if self.window < 2:
             raise ValueError(f"window must be >= 2, got {self.window}")
-        if self.window_kind not in ("sliding", "tumbling"):
-            raise ValueError(
-                f"window_kind must be 'sliding' or 'tumbling', "
-                f"got {self.window_kind!r}"
-            )
         if self.fail_after < 1:
             raise ValueError(f"fail_after must be >= 1, got {self.fail_after}")
         if self.recover_after < 1:
@@ -314,9 +308,7 @@ class DriftMonitor:
         self._clock = clock
         self._lock = threading.Lock()
         self._window = StreamWindow(
-            self.config.window,
-            n_leaves=len(profile.leaf_names),
-            kind=self.config.window_kind,
+            self.config.window, n_leaves=len(profile.leaf_names)
         )
         self._leaf_index = {
             name: i for i, name in enumerate(profile.leaf_names)
@@ -491,7 +483,6 @@ class DriftMonitor:
                 "records_seen": snapshot.total_seen,
                 "window": {
                     "capacity": self.config.window,
-                    "kind": self.config.window_kind,
                     "n": snapshot.n,
                     "n_labelled": snapshot.n_labelled,
                 },

@@ -1,4 +1,4 @@
-"""Incremental transferability detectors over window snapshots.
+"""Transferability detectors over window snapshots.
 
 Each detector is one criterion of the paper's Section V-VI battery,
 re-expressed so it can be evaluated from a

@@ -1,22 +1,16 @@
-"""Fixed-memory streaming windows with Welford-style online moments.
+"""A fixed-memory window over the most recent served records.
 
 The drift monitor never holds the traffic it has seen — at serving
-scale that would be unbounded — only a bounded ring buffer of the most
-recent (prediction, observed CPI, leaf) records plus the sufficient
-statistics the Section VI battery needs: means and centered second
-moments of predictions and actuals (Eqs. 8-9), their co-moment
+scale that would be unbounded — only a ring buffer of the latest
+``capacity`` (prediction, observed CPI, leaf) records.  There is one
+update mechanism: :meth:`StreamWindow.extend` validates a batch and
+copies it into the ring, overwriting the oldest records, and
+:meth:`StreamWindow.snapshot` recomputes, exactly and from the live
+records alone, what the Section VI battery needs: means and centered
+second moments of predictions and actuals (Eqs. 8-9), their co-moment
 (Eq. 12's numerator), the absolute-residual sum (Eq. 13) and per-leaf
-occupancy counts (Eq. 4's live profile).
-
-Two window shapes:
-
-* ``sliding`` — always covers the latest ``capacity`` records; each
-  insert beyond capacity evicts the oldest via the exact inverse of
-  the Welford update.  To stop floating-point drift from accumulating
-  over millions of evictions, the accumulators are recomputed exactly
-  from the buffer once per ``capacity`` evictions (amortized O(1) per
-  record).
-* ``tumbling`` — fills, emits one :class:`WindowSnapshot`, resets.
+occupancy counts (Eq. 4's live profile).  Nothing is carried from one
+snapshot to the next, so nothing can accumulate round-off.
 
 Observed CPI is optional per record (serving traffic is mostly
 unlabelled); pair statistics cover only the labelled subset.  Leaf
@@ -26,7 +20,7 @@ indices are optional too (``-1`` = unassigned).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,137 +28,19 @@ from repro.stats.transfer import SampleMoments, pearson_from_comoments
 
 __all__ = ["WindowSnapshot", "StreamWindow"]
 
+_EMPTY = SampleMoments(0, 0.0, 0.0)
 
-class _PairStats:
-    """Welford accumulator for labelled (prediction, actual) pairs."""
 
-    __slots__ = ("n", "mean_p", "m2_p", "mean_a", "m2_a", "comoment", "abs_sum")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.n = 0
-        self.mean_p = 0.0
-        self.m2_p = 0.0
-        self.mean_a = 0.0
-        self.m2_a = 0.0
-        self.comoment = 0.0
-        self.abs_sum = 0.0
-
-    def add(self, p: float, a: float) -> None:
-        self.n += 1
-        dp = p - self.mean_p
-        self.mean_p += dp / self.n
-        da = a - self.mean_a
-        self.mean_a += da / self.n
-        self.m2_p += dp * (p - self.mean_p)
-        self.m2_a += da * (a - self.mean_a)
-        self.comoment += dp * (a - self.mean_a)
-        self.abs_sum += abs(p - a)
-
-    def remove(self, p: float, a: float) -> None:
-        if self.n <= 1:
-            self.reset()
-            return
-        n_new = self.n - 1
-        mean_p_new = (self.n * self.mean_p - p) / n_new
-        mean_a_new = (self.n * self.mean_a - a) / n_new
-        # Exact inverse of add(): the same products, subtracted.
-        self.m2_p -= (p - mean_p_new) * (p - self.mean_p)
-        self.m2_a -= (a - mean_a_new) * (a - self.mean_a)
-        self.comoment -= (p - mean_p_new) * (a - self.mean_a)
-        self.abs_sum -= abs(p - a)
-        self.mean_p = mean_p_new
-        self.mean_a = mean_a_new
-        self.n = n_new
-
-    def merge_chunk(self, p: np.ndarray, a: np.ndarray) -> None:
-        """Fold a whole labelled chunk in (Chan's pairwise merge)."""
-        nb = int(p.size)
-        if nb == 0:
-            return
-        mean_pb = float(p.mean())
-        mean_ab = float(a.mean())
-        m2_pb = float(((p - mean_pb) ** 2).sum())
-        m2_ab = float(((a - mean_ab) ** 2).sum())
-        co_b = float(((p - mean_pb) * (a - mean_ab)).sum())
-        abs_b = float(np.abs(p - a).sum())
-        na, n = self.n, self.n + nb
-        if na == 0:
-            self.n = nb
-            self.mean_p, self.m2_p = mean_pb, m2_pb
-            self.mean_a, self.m2_a = mean_ab, m2_ab
-            self.comoment, self.abs_sum = co_b, abs_b
-            return
-        scale = na * nb / n
-        dp = mean_pb - self.mean_p
-        da = mean_ab - self.mean_a
-        self.m2_p += m2_pb + dp * dp * scale
-        self.m2_a += m2_ab + da * da * scale
-        self.comoment += co_b + dp * da * scale
-        self.abs_sum += abs_b
-        self.mean_p += dp * nb / n
-        self.mean_a += da * nb / n
-        self.n = n
-
-    def unmerge_chunk(self, p: np.ndarray, a: np.ndarray) -> None:
-        """Exact inverse of :meth:`merge_chunk` for an evicted chunk."""
-        ne = int(p.size)
-        if ne == 0:
-            return
-        if ne >= self.n:
-            self.reset()
-            return
-        mean_pe = float(p.mean())
-        mean_ae = float(a.mean())
-        m2_pe = float(((p - mean_pe) ** 2).sum())
-        m2_ae = float(((a - mean_ae) ** 2).sum())
-        co_e = float(((p - mean_pe) * (a - mean_ae)).sum())
-        n, na = self.n, self.n - ne
-        mean_pa = (n * self.mean_p - ne * mean_pe) / na
-        mean_aa = (n * self.mean_a - ne * mean_ae) / na
-        scale = na * ne / n
-        dp = mean_pe - mean_pa
-        da = mean_ae - mean_aa
-        self.m2_p -= m2_pe + dp * dp * scale
-        self.m2_a -= m2_ae + da * da * scale
-        self.comoment -= co_e + dp * da * scale
-        self.abs_sum -= float(np.abs(p - a).sum())
-        self.mean_p, self.mean_a = mean_pa, mean_aa
-        self.n = na
-
-    def recompute(self, p: np.ndarray, a: np.ndarray) -> None:
-        """Exact refresh from the surviving records (drift control).
-
-        Raw ``np.add.reduce`` keeps this cheap enough to run per batch
-        (the bulk-insert path refreshes instead of merging).
-        """
-        n = self.n = int(p.size)
-        if n == 0:
-            self.reset()
-            return
-        add = np.add.reduce
-        self.mean_p = mean_p = float(add(p)) / n
-        self.mean_a = mean_a = float(add(a)) / n
-        dp = p - mean_p
-        da = a - mean_a
-        self.m2_p = float(add(dp * dp))
-        self.m2_a = float(add(da * da))
-        self.comoment = float(add(dp * da))
-        self.abs_sum = float(add(np.abs(p - a)))
-
-    def moments_p(self) -> SampleMoments:
-        return _moments(self.n, self.mean_p, self.m2_p)
-
-    def moments_a(self) -> SampleMoments:
-        return _moments(self.n, self.mean_a, self.m2_a)
+def _centered(x: np.ndarray) -> Tuple[float, np.ndarray, float]:
+    """Mean, deviations and centered second moment of a sample."""
+    mean = float(np.add.reduce(x)) / x.size
+    dx = x - mean
+    return mean, dx, float(np.add.reduce(dx * dx))
 
 
 def _moments(n: int, mean: float, m2: float) -> SampleMoments:
-    # Eviction round-off can leave m2 a hair below zero; clamp.
-    var = m2 / (n - 1) if n >= 2 else 0.0
-    return SampleMoments(n, mean if n else 0.0, max(0.0, var))
+    """Eqs. 8-9: the unbiased variance, 0 for fewer than two records."""
+    return SampleMoments(n, mean, m2 / (n - 1) if n >= 2 else 0.0)
 
 
 @dataclass(frozen=True)
@@ -194,111 +70,38 @@ class WindowSnapshot:
 
 
 class StreamWindow:
-    """Bounded window over (prediction, actual?, leaf?) records.
+    """The latest ``capacity`` (prediction, actual?, leaf?) records, in
+    three ``capacity``-sized arrays, however many records stream by."""
 
-    Memory is fixed at construction: three ``capacity``-sized arrays
-    plus O(1) accumulators and an O(n_leaves) count vector, regardless
-    of how many records stream through.
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        n_leaves: int = 0,
-        kind: str = "sliding",
-    ) -> None:
+    def __init__(self, capacity: int, n_leaves: int = 0) -> None:
         if capacity < 2:
             raise ValueError(f"capacity must be >= 2, got {capacity}")
-        if kind not in ("sliding", "tumbling"):
-            raise ValueError(
-                f"kind must be 'sliding' or 'tumbling', got {kind!r}"
-            )
         if n_leaves < 0:
             raise ValueError(f"n_leaves must be >= 0, got {n_leaves}")
         self.capacity = capacity
-        self.kind = kind
         self.n_leaves = n_leaves
         self._pred = np.zeros(capacity)
         self._actual = np.full(capacity, np.nan)
         self._leaf = np.full(capacity, -1, dtype=np.int64)
-        self._start = 0  # ring-buffer head (oldest record)
+        self._head = 0  # the ring slot the next record goes to
         self._count = 0
         self._seen = 0
-        self._pairs = _PairStats()
-        # Moments over *all* predictions (labelled or not).
-        self._pn = 0
-        self._pmean = 0.0
-        self._pm2 = 0.0
-        self._leaf_counts = np.zeros(n_leaves, dtype=np.int64)
-        self._evictions = 0
-
-    # -- introspection ---------------------------------------------------
 
     @property
     def n(self) -> int:
         return self._count
 
     @property
-    def n_labelled(self) -> int:
-        return self._pairs.n
-
-    @property
     def total_seen(self) -> int:
         return self._seen
-
-    @property
-    def full(self) -> bool:
-        return self._count == self.capacity
-
-    # -- streaming -------------------------------------------------------
-
-    def push(
-        self,
-        prediction: float,
-        actual: float = float("nan"),
-        leaf: int = -1,
-    ) -> Optional[WindowSnapshot]:
-        """Insert one record; a tumbling window returns the snapshot it
-        emits when this record fills it (then resets), otherwise None.
-        """
-        prediction = float(prediction)
-        actual = float(actual)
-        leaf = int(leaf)
-        if not np.isfinite(prediction):
-            raise ValueError(f"prediction must be finite, got {prediction}")
-        if leaf >= self.n_leaves:
-            raise ValueError(
-                f"leaf index {leaf} out of range for {self.n_leaves} leaves"
-            )
-        if self.kind == "sliding" and self._count == self.capacity:
-            self._evict_oldest()
-        slot = (self._start + self._count) % self.capacity
-        self._pred[slot] = prediction
-        self._actual[slot] = actual
-        self._leaf[slot] = leaf
-        self._count += 1
-        self._seen += 1
-        self._pn += 1
-        dp = prediction - self._pmean
-        self._pmean += dp / self._pn
-        self._pm2 += dp * (prediction - self._pmean)
-        if np.isfinite(actual):
-            self._pairs.add(prediction, actual)
-        if leaf >= 0:
-            self._leaf_counts[leaf] += 1
-        if self.kind == "tumbling" and self._count == self.capacity:
-            snapshot = self.snapshot()
-            self._reset_window()
-            return snapshot
-        return None
 
     def extend(
         self,
         predictions: Sequence[float],
         actuals: Optional[Sequence[float]] = None,
         leaves: Optional[Sequence[int]] = None,
-    ) -> List[WindowSnapshot]:
-        """Push a batch; returns the snapshots a tumbling window emitted."""
+    ) -> None:
+        """Validate a batch, then copy it into the ring, oldest out."""
         predictions = np.asarray(predictions, dtype=float)
         if actuals is None:
             actuals = np.full(predictions.shape, np.nan)
@@ -313,34 +116,6 @@ class StreamWindow:
                 f"predictions/actuals/leaves must align, got shapes "
                 f"{predictions.shape}, {actuals.shape}, {leaves.shape}"
             )
-        # Tumbling windows emit mid-batch, and tiny batches don't pay
-        # for the chunked arithmetic: both take the per-record path.
-        if self.kind == "tumbling" or predictions.size < 8:
-            emitted = []
-            for p, a, leaf in zip(predictions, actuals, leaves):
-                snapshot = self.push(p, a, leaf)
-                if snapshot is not None:
-                    emitted.append(snapshot)
-            return emitted
-        self._extend_sliding(predictions, actuals, leaves)
-        return []
-
-    # -- internals -------------------------------------------------------
-
-    def _extend_sliding(
-        self,
-        predictions: np.ndarray,
-        actuals: np.ndarray,
-        leaves: np.ndarray,
-    ) -> None:
-        """Batch insert: O(numpy ops per chunk), not per record.
-
-        The accumulators are updated by merging the incoming chunk's
-        exact moments (and unmerging the evicted chunk's) via Chan's
-        parallel formulas — same results as the per-record Welford
-        path to well under the 1e-10 parity bound, at a fraction of
-        the cost.  The periodic exact refresh applies unchanged.
-        """
         bad = ~np.isfinite(predictions)
         if bad.any():
             raise ValueError(
@@ -354,200 +129,69 @@ class StreamWindow:
             )
         m = int(predictions.size)
         cap = self.capacity
-        if m >= cap:
-            # Only the trailing `cap` records survive; rebuild exactly.
-            self._pred[:] = predictions[m - cap:]
-            self._actual[:] = actuals[m - cap:]
-            self._leaf[:] = leaves[m - cap:]
-            self._start = 0
-            self._count = cap
-            self._seen += m
-            self._refresh()
-            return
-        if 8 * m >= cap:
-            # The chunk is a sizable slice of the window, so one exact
-            # O(capacity) rebuild is cheaper than the merge/unmerge
-            # algebra — and drift-free, no periodic refresh needed.
-            n_evict = max(0, self._count + m - cap)
-            if n_evict > 0:
-                self._start = (self._start + n_evict) % cap
-                self._count -= n_evict
-            pos = (self._start + self._count) % cap
-            head = min(m, cap - pos)
-            for ring, chunk in (
-                (self._pred, predictions),
-                (self._actual, actuals),
-                (self._leaf, leaves),
-            ):
-                ring[pos:pos + head] = chunk[:head]
-                if head < m:
-                    ring[: m - head] = chunk[head:]
-            self._count += m
-            self._seen += m
-            self._refresh()
-            return
-        n_evict = self._count + m - cap
-        if n_evict > 0:
-            index = (self._start + np.arange(n_evict)) % cap
-            self._unmerge_chunk(
-                self._pred[index], self._actual[index], self._leaf[index]
-            )
-            self._start = (self._start + n_evict) % cap
-            self._count -= n_evict
-            self._evictions += n_evict
-        slots = (self._start + self._count + np.arange(m)) % cap
-        self._pred[slots] = predictions
-        self._actual[slots] = actuals
-        self._leaf[slots] = leaves
-        self._count += m
         self._seen += m
-        self._merge_chunk(predictions, actuals, leaves)
-        if self._evictions >= cap:
-            self._refresh()
-
-    def _merge_chunk(
-        self, p: np.ndarray, a: np.ndarray, leaf: np.ndarray
-    ) -> None:
-        nb = int(p.size)
-        mean_b = float(p.mean())
-        m2_b = float(((p - mean_b) ** 2).sum())
-        if self._pn == 0:
-            self._pn, self._pmean, self._pm2 = nb, mean_b, m2_b
-        else:
-            n = self._pn + nb
-            delta = mean_b - self._pmean
-            self._pm2 += m2_b + delta * delta * self._pn * nb / n
-            self._pmean += delta * nb / n
-            self._pn = n
-        labelled = np.isfinite(a)
-        if labelled.any():
-            self._pairs.merge_chunk(p[labelled], a[labelled])
-        if self.n_leaves:
-            self._leaf_counts += np.bincount(
-                leaf[leaf >= 0], minlength=self.n_leaves
-            )
-
-    def _unmerge_chunk(
-        self, p: np.ndarray, a: np.ndarray, leaf: np.ndarray
-    ) -> None:
-        ne = int(p.size)
-        if ne >= self._pn:
-            self._pn, self._pmean, self._pm2 = 0, 0.0, 0.0
-        else:
-            mean_e = float(p.mean())
-            m2_e = float(((p - mean_e) ** 2).sum())
-            n, na = self._pn, self._pn - ne
-            mean_a = (n * self._pmean - ne * mean_e) / na
-            delta = mean_e - mean_a
-            self._pm2 -= m2_e + delta * delta * na * ne / n
-            self._pmean = mean_a
-            self._pn = na
-        labelled = np.isfinite(a)
-        if labelled.any():
-            self._pairs.unmerge_chunk(p[labelled], a[labelled])
-        if self.n_leaves:
-            self._leaf_counts -= np.bincount(
-                leaf[leaf >= 0], minlength=self.n_leaves
-            )
-
-    def _evict_oldest(self) -> None:
-        slot = self._start
-        prediction = float(self._pred[slot])
-        actual = float(self._actual[slot])
-        leaf = int(self._leaf[slot])
-        self._start = (self._start + 1) % self.capacity
-        self._count -= 1
-        if self._pn <= 1:
-            self._pn, self._pmean, self._pm2 = 0, 0.0, 0.0
-        else:
-            n_new = self._pn - 1
-            mean_new = (self._pn * self._pmean - prediction) / n_new
-            self._pm2 -= (prediction - mean_new) * (prediction - self._pmean)
-            self._pmean = mean_new
-            self._pn = n_new
-        if np.isfinite(actual):
-            self._pairs.remove(prediction, actual)
-        if leaf >= 0:
-            self._leaf_counts[leaf] -= 1
-        self._evictions += 1
-        if self._evictions >= self.capacity:
-            self._refresh()
-
-    def _window_arrays(self):
-        # The accumulators are permutation-invariant, so a full ring
-        # (or one that has never wrapped) needs no modular gather.
-        if self._count == self.capacity:
-            return self._pred, self._actual, self._leaf
-        if self._start == 0:
-            count = self._count
-            return (
-                self._pred[:count],
-                self._actual[:count],
-                self._leaf[:count],
-            )
-        index = (self._start + np.arange(self._count)) % self.capacity
-        return self._pred[index], self._actual[index], self._leaf[index]
-
-    def _refresh(self) -> None:
-        """Recompute every accumulator exactly from the live records."""
-        self._evictions = 0
-        pred, actual, leaf = self._window_arrays()
-        n = int(pred.size)
-        labelled = np.isfinite(actual)
-        n_labelled = int(np.count_nonzero(labelled))
-        self._pn = n
-        if n_labelled == n:
-            # Fully labelled window: the pair stats already cover every
-            # prediction, so the all-predictions moments are theirs.
-            self._pairs.recompute(pred, actual)
-            self._pmean = self._pairs.mean_p
-            self._pm2 = self._pairs.m2_p
-        else:
-            if n:
-                self._pmean = float(np.add.reduce(pred)) / n
-                dp = pred - self._pmean
-                self._pm2 = float(np.add.reduce(dp * dp))
-            else:
-                self._pmean, self._pm2 = 0.0, 0.0
-            if n_labelled:
-                self._pairs.recompute(pred[labelled], actual[labelled])
-            else:
-                self._pairs.reset()
-        if self.n_leaves:
-            self._leaf_counts = np.bincount(
-                leaf[leaf >= 0], minlength=self.n_leaves
-            ).astype(np.int64)
-
-    def _reset_window(self) -> None:
-        self._start = 0
-        self._count = 0
-        self._pn, self._pmean, self._pm2 = 0, 0.0, 0.0
-        self._pairs.reset()
-        self._leaf_counts = np.zeros(self.n_leaves, dtype=np.int64)
-        self._evictions = 0
-
-    # -- reading ---------------------------------------------------------
+        if m >= cap:  # only the trailing ``cap`` records survive
+            predictions = predictions[m - cap:]
+            actuals, leaves = actuals[m - cap:], leaves[m - cap:]
+            m, self._head = cap, 0
+        head = self._head
+        first = min(m, cap - head)
+        for ring, chunk in (
+            (self._pred, predictions),
+            (self._actual, actuals),
+            (self._leaf, leaves),
+        ):
+            ring[head:head + first] = chunk[:first]
+            if first < m:
+                ring[: m - first] = chunk[first:]
+        self._head = (head + m) % cap
+        self._count = min(cap, self._count + m)
 
     def snapshot(self) -> WindowSnapshot:
-        """Current sufficient statistics (cheap: no buffer traversal)."""
-        pairs = self._pairs
+        """Every statistic, recomputed exactly from the live records.
+
+        O(capacity).  Until the ring first fills, the live records are
+        its first ``n`` slots; after that, all of it.  No statistic
+        depends on record order, so the ring is read as stored.
+        """
+        count = self._count
+        pred = self._pred[:count]
+        actual = self._actual[:count]
+        labelled = np.isfinite(actual)
+        n_labelled = int(np.count_nonzero(labelled))
+        pred_all = pred_labelled = actual_moments = _EMPTY
+        correlation, mae = 0.0, float("nan")
+        if count and n_labelled < count:
+            mean, _, m2 = _centered(pred)
+            pred_all = _moments(count, mean, m2)
+        if n_labelled:
+            if n_labelled < count:
+                pred, actual = pred[labelled], actual[labelled]
+            mean_p, dp, m2_p = _centered(pred)
+            mean_a, da, m2_a = _centered(actual)
+            pred_labelled = _moments(n_labelled, mean_p, m2_p)
+            actual_moments = _moments(n_labelled, mean_a, m2_a)
+            if n_labelled == count:
+                pred_all = pred_labelled
+            correlation = pearson_from_comoments(
+                m2_p, m2_a, float(np.add.reduce(dp * da))
+            )
+            mae = float(np.add.reduce(np.abs(pred - actual))) / n_labelled
+        leaf = self._leaf[:count]
+        leaf_counts = np.bincount(
+            leaf[leaf >= 0], minlength=self.n_leaves
+        ).astype(np.int64, copy=False)
         return WindowSnapshot(
-            n=self._count,
-            n_labelled=pairs.n,
+            n=count,
+            n_labelled=n_labelled,
             total_seen=self._seen,
-            pred=_moments(self._pn, self._pmean, self._pm2),
-            pred_labelled=pairs.moments_p(),
-            actual=pairs.moments_a(),
-            correlation=pearson_from_comoments(
-                max(0.0, pairs.m2_p), max(0.0, pairs.m2_a), pairs.comoment
-            ),
-            mae=max(0.0, pairs.abs_sum) / pairs.n if pairs.n else float("nan"),
-            leaf_counts=self._leaf_counts.copy(),
+            pred=pred_all,
+            pred_labelled=pred_labelled,
+            actual=actual_moments,
+            correlation=correlation,
+            mae=mae,
+            leaf_counts=leaf_counts,
         )
 
     def __repr__(self) -> str:
-        return (
-            f"StreamWindow(kind={self.kind!r}, n={self._count}/"
-            f"{self.capacity}, labelled={self._pairs.n}, "
-            f"seen={self._seen})"
-        )
+        return f"StreamWindow(n={self.n}/{self.capacity}, seen={self._seen})"

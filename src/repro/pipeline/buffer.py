@@ -1,9 +1,10 @@
 """Bounded ring buffer of labelled traffic rows for retraining.
 
 The drift monitor's :class:`~repro.drift.window.StreamWindow` keeps
-only sufficient statistics — deliberately, for fixed memory — but a
-retrain needs the raw ``(X, y)`` rows.  :class:`TrafficBuffer` hangs
-off the :class:`~repro.drift.hub.DriftHub` as a tap, so it sees every
+only each recent record's prediction, observed CPI and leaf —
+deliberately, for fixed memory — but a retrain needs the raw
+``(X, y)`` rows.  :class:`TrafficBuffer` hangs off the
+:class:`~repro.drift.hub.DriftHub` as a tap, so it sees every
 observed batch *before* the monitor evaluates it: the batch that trips
 ``transfer_failed`` is part of the retrain data, not lost to ordering.
 

@@ -356,21 +356,29 @@ class OneWriteHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if self._trace_id is not None:
             self.send_header(TRACE_HEADER, self._trace_id)
-        replica = getattr(self.server, "replica", None)
+        replica = self._replica()
         if replica is not None:
             self.send_header(REPLICA_HEADER, str(replica["index"]))
         self.end_headers()
         self.wfile.write(body)
         self.wfile.flush()
 
+    def _replica(self) -> Optional[Dict[str, Any]]:
+        """The cluster replica answering, or None (no header)."""
+        return None
+
 
 class _Handler(OneWriteHandler):
-    """Dispatches one request; all state lives on ``self.server``."""
+    """Dispatches one request; all state lives on the
+    :class:`ModelServer`, reached as ``self.server.model_server``."""
 
     #: Per-request telemetry state, reset by :meth:`_dispatch`.
     _trace: Optional[RequestTrace] = None
 
     # -- plumbing --------------------------------------------------------
+
+    def _replica(self) -> Optional[Dict[str, Any]]:
+        return self.server.model_server.replica
 
     def _send_error_envelope(
         self, status: int, code: str, message: str
@@ -398,13 +406,14 @@ class _Handler(OneWriteHandler):
             raise ApiError(
                 400, "invalid_length", "Content-Length is not an integer"
             ) from None
-        if length > self.server.max_body_bytes:
+        limit = self.server.model_server.max_body_bytes
+        if length > limit:
             _REJECTED_OVERSIZED.inc()
             raise ApiError(
                 413,
                 "body_too_large",
                 f"request body of {length} bytes exceeds the "
-                f"{self.server.max_body_bytes}-byte limit",
+                f"{limit}-byte limit",
             )
         raw = self.rfile.read(length)
         try:
@@ -429,16 +438,15 @@ class _Handler(OneWriteHandler):
 
     def _dispatch(self, method: str) -> None:
         start = time.perf_counter()
+        server = self.server.model_server
         self._trace_id = normalize_trace_id(self.headers.get(TRACE_HEADER))
         self._trace = (
-            RequestTrace(
-                self._trace_id, sink=self.server.telemetry, t0=start
-            )
-            if self.server.telemetry is not None
+            RequestTrace(self._trace_id, sink=server.telemetry, t0=start)
+            if server.telemetry is not None
             else None
         )
         endpoint = _endpoint_label(self.path)
-        with self.server.stats_lock:
+        with server.stats_lock:
             _HTTP_REQUESTS.inc()
         status = 500
         try:
@@ -467,7 +475,7 @@ class _Handler(OneWriteHandler):
             status = self._send_error_envelope(500, "internal", str(error))
         finally:
             duration = time.perf_counter() - start
-            with self.server.stats_lock:
+            with server.stats_lock:
                 _HTTP_LATENCY.observe(duration)
                 if 200 <= status < 300:
                     _HTTP_2XX.inc()
@@ -479,8 +487,8 @@ class _Handler(OneWriteHandler):
                     "serve.http.request_latency_s",
                     labels={"endpoint": endpoint},
                 ).observe(duration)
-                self.server.recent_latency.append(duration)
-            self.server.slo.record(duration, status)
+                server.recent_latency.append(duration)
+            server.slo.record(duration, status)
             if self._trace is not None:
                 self._trace.emit(
                     "http",
@@ -492,18 +500,19 @@ class _Handler(OneWriteHandler):
                 )
 
     def _route(self, method: str) -> int:
+        server = self.server.model_server
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         parts = [p for p in path.split("/") if p]
 
         if path == "/healthz" and method == "GET":
             payload = {
                 "status": "ok",
-                "models": len(self.server.registry),
-                "engine_running": self.server.engine.running,
+                "models": len(server.registry),
+                "engine_running": server.engine.running,
                 "build": build_info(),
             }
-            if self.server.replica is not None:
-                payload["replica"] = self.server.replica
+            if server.replica is not None:
+                payload["replica"] = server.replica
             self._send(200, _json(payload))
             return 200
         if path == "/metrics" and method == "GET":
@@ -516,10 +525,10 @@ class _Handler(OneWriteHandler):
             )
             return 200
         if path == "/v1/status" and method == "GET":
-            self._send(200, _json(self._status_document()))
+            self._send(200, _json(server.status_document()))
             return 200
         if path == "/v1/pipeline" and method == "GET":
-            pipeline = self.server.pipeline
+            pipeline = server.pipeline
             if pipeline is None:
                 self._send(200, _json({"armed": False}))
                 return 200
@@ -532,29 +541,13 @@ class _Handler(OneWriteHandler):
         if path == "/dashboard" and method == "GET":
             self._send(
                 200,
-                render_dashboard_html(self._status_document()).encode(),
+                render_dashboard_html(server.status_document()).encode(),
                 "text/html; charset=utf-8",
             )
             return 200
         if parts[:2] == ["v1", "models"]:
             return self._route_models(method, parts[2:])
         raise ApiError(404, "not_found", f"no route for {method} {path}")
-
-    def _status_document(self) -> Dict[str, Any]:
-        with self.server.stats_lock:
-            recent = list(self.server.recent_latency)
-        return build_status_document(
-            self.server.registry,
-            self.server.engine,
-            drift=self.server.drift,
-            slo=self.server.slo,
-            events=self.server.telemetry,
-            recent_latency_s=recent,
-            started_unix=self.server.started_unix,
-            pipeline=self.server.pipeline,
-            profiler=self.server.profiler,
-            replica=self.server.replica,
-        )
 
     def _profile_cpu(self) -> int:
         """``GET /v1/profile/cpu?seconds=N&hz=M&format=F``.
@@ -600,7 +593,7 @@ class _Handler(OneWriteHandler):
                 "invalid_parameter",
                 f"'format' must be json, collapsed or html, got {fmt!r}",
             )
-        profile = self.server.profiler.capture(seconds, int(hz))
+        profile = self.server.model_server.profiler.capture(seconds, int(hz))
         if fmt == "collapsed":
             self._send(
                 200, profile.folded().encode(), "text/plain; charset=utf-8"
@@ -618,8 +611,9 @@ class _Handler(OneWriteHandler):
         return 200
 
     def _route_models(self, method: str, rest: list) -> int:
-        registry = self.server.registry
-        engine = self.server.engine
+        server = self.server.model_server
+        registry = server.registry
+        engine = server.engine
         if not rest:
             if method != "GET":
                 raise ApiError(405, "method_not_allowed", "use GET")
@@ -670,7 +664,7 @@ class _Handler(OneWriteHandler):
         if action == "drift" and len(rest) == 2:
             if method != "GET":
                 raise ApiError(405, "method_not_allowed", "use GET")
-            drift = self.server.drift
+            drift = server.drift
             if drift is None:
                 self._send(
                     200,
@@ -691,10 +685,11 @@ class _Handler(OneWriteHandler):
         )
 
     def _predict(self, ref: str) -> int:
+        server = self.server.model_server
         trace = self._trace
         with trace.stage("decode") if trace else nullcontext():
             body = self._read_body()
-            record, tree = self.server.registry.load(ref)
+            record, tree = server.registry.load(ref)
             X = _instances_to_matrix(body, record.feature_names)
             smooth = body.get("smooth")
             if smooth is not None and not isinstance(smooth, bool):
@@ -707,14 +702,14 @@ class _Handler(OneWriteHandler):
         # no second registry lookup, and an alias moved by a promotion
         # since ``load()`` cannot pair this id with another model's
         # predictions.
-        predictions = self.server.engine.predict(
+        predictions = server.engine.predict(
             (record, tree), X, smooth=smooth, actuals=actuals, trace=trace
         )
         predict_s = time.perf_counter() - t_predict
         # Recording the call is part of answering it, so the respond
         # stage times it rather than leaving a gap in the timeline.
         with trace.stage("respond") if trace else nullcontext():
-            with self.server.stats_lock:
+            with server.stats_lock:
                 _PREDICTIONS.inc(X.shape[0])
                 summary(
                     "serve.predict.latency_s",
@@ -848,20 +843,27 @@ class ModelServer:
         else:
             self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
-        # Handlers reach everything through self.server.<attr>.
-        self._httpd.registry = self.registry  # type: ignore[attr-defined]
-        self._httpd.engine = self.engine  # type: ignore[attr-defined]
-        self._httpd.drift = drift  # type: ignore[attr-defined]
-        self._httpd.max_body_bytes = max_body_bytes  # type: ignore[attr-defined]
-        self._httpd.stats_lock = self.stats_lock  # type: ignore[attr-defined]
-        self._httpd.telemetry = self.telemetry  # type: ignore[attr-defined]
-        self._httpd.slo = self.slo  # type: ignore[attr-defined]
-        self._httpd.recent_latency = self.recent_latency  # type: ignore[attr-defined]
-        self._httpd.started_unix = self.started_unix  # type: ignore[attr-defined]
-        self._httpd.pipeline = self.pipeline  # type: ignore[attr-defined]
-        self._httpd.profiler = self.profiler  # type: ignore[attr-defined]
-        self._httpd.replica = self.replica  # type: ignore[attr-defined]
+        # Handlers reach everything through self.server.model_server.
+        self._httpd.model_server = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
+
+    def status_document(self) -> Dict[str, Any]:
+        """The one-document status: ``/v1/status``, ``/dashboard``'s
+        data and a cluster worker's ``status`` reply."""
+        with self.stats_lock:
+            recent = list(self.recent_latency)
+        return build_status_document(
+            self.registry,
+            self.engine,
+            drift=self.drift,
+            slo=self.slo,
+            events=self.telemetry,
+            recent_latency_s=recent,
+            started_unix=self.started_unix,
+            pipeline=self.pipeline,
+            profiler=self.profiler,
+            replica=self.replica,
+        )
 
     @property
     def address(self) -> Tuple[str, int]:

@@ -80,6 +80,7 @@ _BATCHES = counter("serve.engine.batches")
 _ERRORS = counter("serve.engine.errors")
 _BATCH_ROWS = histogram("serve.engine.batch_rows")
 _BATCH_REQUESTS = histogram("serve.engine.batch_requests")
+#: Each flushed request's submit-to-dequeue time (0 for an idle flush).
 _WAIT_S = histogram("serve.engine.queue_wait_s")
 _QUEUE_DEPTH = gauge("serve.engine.queue_depth")
 _MONITOR_ERRORS = counter("serve.engine.monitor_errors")
@@ -571,7 +572,6 @@ class PredictionEngine:
         group = [head]
         rows = head.X.shape[0]
         deadline = time.monotonic() + cfg.max_wait_s
-        t_enqueue = time.monotonic()
         while rows < cfg.max_batch:
             # Work-conserving: what is already queued joins the
             # batch even once the window has run out (or was 0).
@@ -599,7 +599,6 @@ class PredictionEngine:
                 continue
             group.append(item)
             rows += item.X.shape[0]
-        _WAIT_S.observe(time.monotonic() - t_enqueue)
         self._flush(group)
 
     @staticmethod
@@ -623,10 +622,15 @@ class PredictionEngine:
         head = group[0]
         rows = sum(r.X.shape[0] for r in group)
         _QUEUE_DEPTH.set(self._queue.qsize())
-        # The batch's shape is known before the kernel runs; recording
-        # it here keeps the bookkeeping inside batch_assembly.
+        # The batch's shape and its requests' queue waits are known
+        # before the kernel runs; recording them here keeps the
+        # bookkeeping inside batch_assembly.
         _BATCH_ROWS.observe(rows)
         _BATCH_REQUESTS.observe(len(group))
+        for request in group:
+            # A future put on the queue without _enqueue() has no mark.
+            if request.t_submit is not None:
+                _WAIT_S.observe(request.t_dequeue - request.t_submit)
         t_flush = time.perf_counter()
         try:
             with obs_span(

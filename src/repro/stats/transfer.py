@@ -8,8 +8,9 @@ Two very different callers need exactly that arithmetic:
 
 * the batch experiment path (:mod:`repro.transfer`, experiments E7/E8),
   which holds full sample arrays, and
-* the streaming drift detectors (:mod:`repro.drift`), which hold only
-  Welford-style window moments and can never materialize the samples.
+* the streaming drift detectors (:mod:`repro.drift`), which read the
+  moments a window snapshot recomputes from its last few hundred
+  records, never the traffic seen before them.
 
 This module is the single implementation both consume.  Every entry
 point therefore works from *moments* (:class:`SampleMoments`) or from
@@ -54,8 +55,8 @@ class SampleMoments:
     """Sufficient statistics of one sample: Eq. 8 (mean) and Eq. 9 (var).
 
     ``var`` is the unbiased (n-1 denominator) sample variance, 0.0 by
-    convention when ``n < 2`` — exactly what a Welford accumulator
-    reports for a degenerate window.
+    convention when ``n < 2`` — what a drift window reports while it
+    holds fewer than two records.
     """
 
     n: int
@@ -195,8 +196,8 @@ def pearson_from_comoments(m2_x: float, m2_y: float, comoment: float) -> float:
     """Eq. 12's C from centered second moments.
 
     ``m2_*`` are sums of squared deviations and ``comoment`` the sum of
-    cross deviations (the quantities a paired Welford accumulator
-    maintains); the shared ``1/(n-1)`` factors cancel.  Degenerate
+    cross deviations (the quantities a drift window snapshot
+    recomputes); the shared ``1/(n-1)`` factors cancel.  Degenerate
     windows (either side constant) return 0.0, matching
     :func:`repro.stats.descriptive.corrcoef`'s convention.
     """

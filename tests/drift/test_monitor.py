@@ -45,7 +45,6 @@ class TestConfigValidation:
         "kwargs",
         [
             {"window": 1},
-            {"window_kind": "hopping"},
             {"fail_after": 0},
             {"recover_after": 0},
         ],

@@ -60,10 +60,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="capacity"):
             StreamWindow(1)
 
-    def test_bad_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            StreamWindow(8, kind="hopping")
-
     def test_negative_leaves(self):
         with pytest.raises(ValueError, match="n_leaves"):
             StreamWindow(8, n_leaves=-1)
@@ -71,12 +67,12 @@ class TestValidation:
     def test_non_finite_prediction(self):
         window = StreamWindow(8)
         with pytest.raises(ValueError, match="finite"):
-            window.push(float("inf"))
+            window.extend([float("inf")])
 
     def test_leaf_out_of_range(self):
         window = StreamWindow(8, n_leaves=2)
         with pytest.raises(ValueError, match="leaf index"):
-            window.push(1.0, leaf=2)
+            window.extend([1.0], leaves=[2])
 
     def test_extend_shape_mismatch(self):
         window = StreamWindow(8)
@@ -90,34 +86,34 @@ class TestSlidingWindow:
         window.extend([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         assert window.n == 4
         assert window.total_seen == 6
-        assert window.full
         # Window now holds [3, 4, 5, 6].
         assert window.snapshot().pred.mean == pytest.approx(4.5)
 
     def test_labelled_subset_tracked_through_eviction(self):
         window = StreamWindow(3)
-        window.push(1.0, 10.0)
-        window.push(2.0)  # unlabelled
-        window.push(3.0, 30.0)
-        assert window.n_labelled == 2
-        window.push(4.0, 40.0)  # evicts (1.0, 10.0)
-        assert window.n_labelled == 2
+        window.extend([1.0], [10.0])
+        window.extend([2.0])  # unlabelled
+        window.extend([3.0], [30.0])
+        assert window.snapshot().n_labelled == 2
+        window.extend([4.0], [40.0])  # evicts (1.0, 10.0)
         snapshot = window.snapshot()
+        assert snapshot.n_labelled == 2
         assert snapshot.actual.mean == pytest.approx(35.0)
 
     def test_leaf_counts_follow_the_window(self):
         window = StreamWindow(3, n_leaves=2)
         window.extend([1.0, 1.0, 1.0], leaves=[0, 0, 1])
         assert window.snapshot().leaf_counts.tolist() == [2, 1]
-        window.push(1.0, leaf=1)  # evicts a leaf-0 record
+        window.extend([1.0], leaves=[1])  # evicts a leaf-0 record
         assert window.snapshot().leaf_counts.tolist() == [1, 2]
 
     @pytest.mark.parametrize("label_fraction", [1.0, 0.6])
     def test_streaming_matches_batch_exactly(self, label_fraction):
-        """Satellite: full-stream moments match batch formulas <= 1e-10."""
+        """Window moments match the batch formulas to 1e-10, whether
+        the stream arrives in one batch or in mixed chunk sizes."""
         rng = np.random.default_rng(42)
         capacity = 128
-        total = 1000  # ~7 windows of churn, multiple refresh cycles
+        total = 1000  # ~7 windows of churn
         predictions = rng.normal(2.0, 0.8, total)
         actuals = predictions + rng.normal(0.0, 0.3, total)
         unlabelled = rng.random(total) > label_fraction
@@ -128,6 +124,23 @@ class TestSlidingWindow:
             predictions[-capacity:], actuals[-capacity:]
         )
         assert_snapshot_matches(window.snapshot(), expected)
+        # The same stream in chunks that start and end anywhere in the
+        # ring, so writes straddle its end and overrun it.
+        chunked = StreamWindow(capacity)
+        sizes = [1, 7, 16, 64, capacity + 5, 3, capacity - 1, 2, 33]
+        start, step = 0, 0
+        while start < total:
+            stop = min(total, start + sizes[step % len(sizes)])
+            chunked.extend(predictions[start:stop], actuals[start:stop])
+            start, step = stop, step + 1
+            lo = max(0, stop - capacity)
+            assert chunked.n == stop - lo
+            if np.isfinite(actuals[lo:stop]).sum() >= 2:
+                expected = batch_expectations(
+                    predictions[lo:stop], actuals[lo:stop]
+                )
+                assert_snapshot_matches(chunked.snapshot(), expected)
+        assert chunked.total_seen == total
 
     def test_streaming_matches_batch_at_every_step(self):
         """Per-record parity, covering partial windows and evictions."""
@@ -138,7 +151,7 @@ class TestSlidingWindow:
         actuals[rng.random(200) > 0.7] = np.nan
         window = StreamWindow(capacity)
         for i in range(200):
-            window.push(predictions[i], actuals[i])
+            window.extend(predictions[i:i + 1], actuals[i:i + 1])
             lo = max(0, i + 1 - capacity)
             in_window = slice(lo, i + 1)
             p_win = predictions[in_window]
@@ -148,7 +161,8 @@ class TestSlidingWindow:
                 assert_snapshot_matches(window.snapshot(), expected)
 
     def test_refresh_bounds_drift(self):
-        """Millions of evictions stay exact thanks to periodic refresh."""
+        """Many windows of churn stay exact: every snapshot is
+        recomputed from the live records, so no round-off carries."""
         rng = np.random.default_rng(3)
         capacity = 32
         window = StreamWindow(capacity)
@@ -159,25 +173,6 @@ class TestSlidingWindow:
             predictions[-capacity:], actuals[-capacity:]
         )
         assert_snapshot_matches(window.snapshot(), expected)
-
-
-class TestTumblingWindow:
-    def test_emits_on_fill_and_resets(self):
-        window = StreamWindow(4, kind="tumbling")
-        emitted = window.extend(
-            [1.0, 2.0, 3.0, 4.0, 5.0], actuals=[1.0, 2.0, 3.0, 4.0, 5.0]
-        )
-        assert len(emitted) == 1
-        assert emitted[0].n == 4
-        assert emitted[0].pred.mean == pytest.approx(2.5)
-        assert window.n == 1  # the 5th record started a fresh window
-        assert window.total_seen == 5
-
-    def test_no_eviction(self):
-        window = StreamWindow(4, kind="tumbling")
-        window.extend(np.arange(12, dtype=float))
-        assert window.total_seen == 12
-        assert window.n == 0  # exactly three emitted windows
 
 
 class TestSnapshot:
@@ -191,7 +186,7 @@ class TestSnapshot:
 
     def test_leaf_counts_are_a_copy(self):
         window = StreamWindow(8, n_leaves=2)
-        window.push(1.0, leaf=0)
+        window.extend([1.0], leaves=[0])
         snapshot = window.snapshot()
         snapshot.leaf_counts[0] = 99
         assert window.snapshot().leaf_counts.tolist() == [1, 0]

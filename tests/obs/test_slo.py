@@ -89,6 +89,35 @@ class TestBudgetArithmetic:
         # ... but lifetime budget accounting remembers everything.
         assert report["latency"]["bad_fraction"] == pytest.approx(0.5)
 
+        # Mixed outcomes in irregular runs, so the window drops bad
+        # outcomes as well as good ones: both burn rates always equal
+        # a recount of the last ``burn_window`` outcomes.
+        config = SloConfig(
+            latency_threshold_s=0.1,
+            latency_target=0.9,
+            availability_target=0.95,
+            burn_window=16,
+        )
+        tracker = SloTracker(config)
+        outcomes = {"latency": [], "availability": []}
+        pattern = [
+            (0.01, 200), (0.5, 200), (0.5, 200), (0.01, 503),
+            (0.01, 404), (0.01, 200), (0.2, 500), (0.01, 200),
+            (0.3, 200), (0.01, 200), (0.01, 200),
+        ]
+        for step in range(200):
+            latency_s, status = pattern[(7 * step + step // 5) % len(pattern)]
+            tracker.record(latency_s, status)
+            outcomes["availability"].append(status < 500)
+            if status < 500:
+                outcomes["latency"].append(latency_s <= 0.1)
+            report = tracker.report()
+            for name, target in (("latency", 0.9), ("availability", 0.95)):
+                recent = outcomes[name][-config.burn_window:]
+                assert report[name]["burn_rate"] == (
+                    recent.count(False) / len(recent) / (1.0 - target)
+                )
+
     def test_report_shape(self):
         tracker = SloTracker(SloConfig(latency_threshold_s=0.25))
         tracker.record(0.1, 200)

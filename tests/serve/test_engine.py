@@ -206,6 +206,28 @@ class TestWorkConserving:
         assert self._flushes(published, tiny_tree, batch, [X] * 4) == 2
 
 
+class TestQueueWait:
+    def test_histogram_times_the_wait_in_the_queue(self, published):
+        """``serve.engine.queue_wait_s`` spans submit to dequeue: a
+        request queued behind a busy batcher waits as long as it does."""
+        registry, record = published
+        hub = _HoldFirstFlush()
+        waits = get_registry().histogram("serve.engine.queue_wait_s")
+        X = np.random.default_rng(19).random((2, 3))
+        with PredictionEngine(registry, drift=hub) as engine:
+            try:
+                engine.predict(record.model_id, X, timeout=10)
+                assert hub.holding.wait(10)
+                waits.reset()
+                future = engine.submit(record.model_id, X)
+                time.sleep(0.06)
+            finally:
+                hub.release.set()
+            future.result(10)
+        assert waits.count == 1
+        assert waits.max >= 0.05
+
+
 class _KernelLog:
     """Stands in for one tree's ``predict`` and logs every batch.
 
