@@ -8,7 +8,8 @@ The benches are the keys of :data:`repro.obs.ledger.BENCH_SNAPSHOTS`;
   paths (suite generation, M5' fit, predict, leaf assignment, profile)
   and a compiled-vs-recursive predict sweep over batch sizes.
 * ``serve`` -- a closed-loop sweep over 1-, 16- and 64-row requests
-  against the default server, then two paired overheads at batch 64:
+  against the default server (each request sends the next rows of the
+  seeded batch), then two paired overheads at batch 64:
   request telemetry (two ``monitor=False`` servers, one with an event
   log) and the 99 Hz sampling profiler (one ``monitor=False`` server,
   the profiler toggled per burst).
@@ -312,7 +313,6 @@ def _round_times(fn: Callable, rounds: int, iters: int = 1) -> List[float]:
 
 def bench_microperf(args, work: Path) -> Dict[str, object]:
     from repro.characterization.profile import profile_sample_set
-    from repro.mtree.compiled import CompiledForest
     from repro.mtree.tree import ModelTree, ModelTreeConfig
     from repro.obs.metrics import get_registry, histogram
     from repro.workloads.spec_cpu2006 import spec_cpu2006
@@ -321,9 +321,6 @@ def bench_microperf(args, work: Path) -> Dict[str, object]:
     suite = spec_cpu2006()
     data = suite.generate(SuiteGenerationConfig(total_samples=10_000, seed=77))
     tree = ModelTree(ModelTreeConfig(min_leaf=40)).fit_sample_set(data)
-    # The champion/challenger pair the drift hub evaluates.
-    challenger = ModelTree(ModelTreeConfig(min_leaf=120)).fit_sample_set(data)
-    forest = CompiledForest([("champion", tree), ("challenger", challenger)])
     operations = {
         "suite_generation": lambda: suite.generate(
             SuiteGenerationConfig(total_samples=10_000, seed=5)
@@ -334,7 +331,6 @@ def bench_microperf(args, work: Path) -> Dict[str, object]:
         "predict": lambda: tree.predict(data.X),
         "predict_compiled": lambda: tree.predict(data.X, compiled=True),
         "predict_recursive": lambda: tree.predict(data.X, compiled=False),
-        "forest_predict": lambda: forest.predict(data.X),
         "assign_leaves": lambda: tree.assign_leaves(data.X),
         "profile": lambda: profile_sample_set(tree, data),
     }
@@ -358,12 +354,11 @@ def bench_microperf(args, work: Path) -> Dict[str, object]:
         # batches without stretching the large ones.
         iters = max(1, 4096 // batch)
         tree.predict(Xb)  # warm the compiled cache
-        compiled_s, recursive_s, forest_s = (
+        compiled_s, recursive_s = (
             min(_round_times(fn, args.rounds, iters))
             for fn in (
                 lambda: tree.predict(Xb),
                 lambda: tree.predict(Xb, compiled=False),
-                lambda: forest.predict(Xb),
             )
         )
         histogram(f"microperf.predict_compiled_b{batch}_s").observe(compiled_s)
@@ -373,7 +368,6 @@ def bench_microperf(args, work: Path) -> Dict[str, object]:
         sweep[str(batch)] = {
             "compiled_s": compiled_s,
             "recursive_s": recursive_s,
-            "forest_2x_s": forest_s,
             "speedup": recursive_s / compiled_s,
         }
         print(
@@ -405,11 +399,10 @@ def bench_serve(args, work: Path) -> Dict[str, object]:
     results = {}
     with serving(ModelServer(model.registry, port=0), model) as url:
         for rows in SERVE_BATCHES:
-            spec = replace(
-                model.spec(args.duration),
-                batch_rows=rows,
-                instances=model.instances[:rows],
-            )
+            # Each request sends the next ``rows`` rows of the batch, so
+            # the monitored server sees the batch's leaf mix at every
+            # size, not one row's leaf.
+            spec = replace(model.spec(args.duration), batch_rows=rows)
             before = _engine_counters()
             row = timed(spec, url).as_dict()
             after = _engine_counters()

@@ -1352,7 +1352,8 @@ def _serve(args) -> int:
             events_path=args.events,
             pipeline=args.pipeline,
         )
-    except KeyError as error:  # e.g. --shadow ref not in the registry
+    except (KeyError, ValueError) as error:
+        # A --shadow ref not in the registry, or of another schema.
         print(f"serve: {error}", file=sys.stderr)
         return 2
     stop = threading.Event()
@@ -1382,7 +1383,11 @@ def _serve(args) -> int:
         file=sys.stderr,
     )
     try:
-        stop.wait()
+        # Python runs signal handlers on this thread, when it next runs
+        # bytecode.  A signal another thread took (one starting up as it
+        # arrived) would leave an untimed wait parked for good.
+        while not stop.wait(0.1):
+            pass
         print("draining...", file=sys.stderr)
         server.shutdown()
     finally:

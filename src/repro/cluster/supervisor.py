@@ -46,7 +46,7 @@ from repro.cluster.aggregate import (
 from repro.cluster.sockets import create_listen_sockets
 from repro.cluster.worker import WorkerSpec, worker_main
 from repro.obs.metrics import counter
-from repro.serve.api import OneWriteHandler
+from repro.serve.api import POLL_INTERVAL_S, OneWriteHandler
 from repro.serve.engine import BatchConfig
 
 __all__ = ["ClusterConfig", "ClusterSupervisor"]
@@ -332,6 +332,7 @@ class ClusterSupervisor:
         self._admin.supervisor = self  # type: ignore[attr-defined]
         self._admin_thread = threading.Thread(
             target=self._admin.serve_forever,
+            args=(POLL_INTERVAL_S,),
             name="repro-cluster-admin",
             daemon=True,
         )

@@ -11,17 +11,17 @@ on the provenance it was published with.
 The hub also owns the optional champion/challenger
 :class:`~repro.drift.shadow.ShadowEvaluator`: when a shadow pair is
 configured, every batch served by the champion is re-predicted through
-the challenger's tree (off the client latency path — the engine calls
-:meth:`observe` after answering callers) and both prediction streams
-feed the shadow windows.
+the challenger's compiled tree and both prediction streams feed the
+shadow windows.  The serving engine calls :meth:`observe` on its
+batcher thread after the batch's futures are fulfilled; for an idle
+request, once its handler has written the response, unless another
+request's wake or a batcher flush gets there first.
 
-Per-batch tree work runs on the shared compiled evaluator
-(:mod:`repro.mtree.compiled`): the hub builds one
-:class:`~repro.mtree.compiled.CompiledForest` per served model —
-champion plus, for the shadow champion, the challenger — so a single
-fused comparison pass both classifies rows into monitor leaves (the
-Eq. 4 profile detector) and produces the challenger's shadow
-predictions.
+The Eq. 4 profile detector needs each row's leaf.  The engine passes
+the leaf slots its compiled kernel (:mod:`repro.mtree.compiled`)
+already routed the batch to, so served rows are routed once; callers
+that pass none, such as the offline replay, are routed here through
+the model's compiled tree.
 
 The registry argument is duck-typed (``resolve``/``load`` — the
 :class:`repro.serve.registry.ModelRegistry` surface) so this module
@@ -43,7 +43,6 @@ from repro.drift.monitor import (
     ModelProfile,
 )
 from repro.drift.shadow import ShadowEvaluator
-from repro.mtree.compiled import CompiledForest
 
 __all__ = ["DriftHub"]
 
@@ -51,28 +50,23 @@ __all__ = ["DriftHub"]
 class _ObserveState:
     """Hot-path state pinned per served model after first use.
 
-    ``forest`` is the shared compiled evaluator: member 0 is always
-    the served model (used for leaf *routing*), member 1 — present
-    only for the shadow champion — is the challenger (used for shadow
-    *predictions*).  One fused comparison pass feeds both operations.
-    ``vocab`` maps member 0's compiled leaf slots to the monitor's
-    vocabulary indices (-1 for a leaf name the profile does not know),
-    so classification emits monitor-ready indices without any
-    per-record name lookups.
+    ``kernel`` is the model's compiled tree, which routes rows when the
+    caller passes no leaf slots.  ``vocab`` maps its leaf slots to the
+    monitor's vocabulary indices (-1 for a leaf name the profile does
+    not know), so classification emits monitor-ready indices without
+    any per-record name lookups.
     """
 
-    __slots__ = ("monitor", "forest", "vocab")
+    __slots__ = ("monitor", "kernel", "vocab")
 
-    def __init__(
-        self, monitor: DriftMonitor, forest: CompiledForest
-    ) -> None:
+    def __init__(self, monitor: DriftMonitor, kernel) -> None:
         self.monitor = monitor
-        self.forest = forest
+        self.kernel = kernel
         index = {
             name: i for i, name in enumerate(monitor.profile.leaf_names)
         }
         self.vocab = np.asarray(
-            [index.get(name, -1) for name in forest.members[0].leaf_names],
+            [index.get(name, -1) for name in kernel.leaf_names],
             dtype=np.int64,
         )
 
@@ -87,8 +81,8 @@ class DriftHub:
         actions: Sequence[Callable[[DriftEvent], None]] = (),
         shadow: Optional[Tuple[str, str]] = None,
     ) -> None:
-        """``shadow`` is an optional (champion ref, challenger ref) pair;
-        both must resolve in ``registry`` at construction time.
+        """``shadow`` is an optional (champion ref, challenger ref) pair,
+        checked as :meth:`set_shadow` checks it.
         """
         self.registry = registry
         self.config = config or DriftMonitorConfig()
@@ -104,26 +98,14 @@ class DriftHub:
         ] = ()
         # Hot-path cache: observe() runs once per served batch, and the
         # registry's resolve()/load() each touch the filesystem, so the
-        # (monitor, compiled forest) state is pinned per model id after
+        # (monitor, compiled tree) state is pinned per model id after
         # first use.
         self._observe_state: Dict[str, _ObserveState] = {}
         self._shadow: Optional[ShadowEvaluator] = None
         self._shadow_champion: Optional[str] = None
-        self._shadow_tree = None
+        self._shadow_kernel = None
         if shadow is not None:
-            champion_ref, challenger_ref = shadow
-            champion_id = registry.resolve(champion_ref)
-            challenger_id = registry.resolve(challenger_ref)
-            _, self._shadow_tree = registry.load(challenger_id)
-            self._shadow_champion = champion_id
-            criteria = self.config.criteria
-            self._shadow = ShadowEvaluator(
-                champion_id,
-                challenger_id,
-                window=self.config.window,
-                criteria=criteria.transfer,
-                min_labelled=criteria.min_labelled,
-            )
+            self.set_shadow(*shadow)
 
     # -- dynamic wiring (pipeline hooks) ---------------------------------
 
@@ -156,13 +138,22 @@ class DriftHub:
     def set_shadow(self, champion_ref: str, challenger_ref: str) -> None:
         """(Re-)configure the champion/challenger pair at runtime.
 
-        Both refs must resolve; the champion's cached observe state is
-        dropped so its next batch rebuilds the compiled forest with
-        the challenger as member 1.
+        Both refs must resolve, and the two models must share a feature
+        schema: the challenger predicts on the champion's served rows,
+        so a ValueError refuses a challenger that would read them as
+        other features.
         """
         champion_id = self.registry.resolve(champion_ref)
         challenger_id = self.registry.resolve(challenger_ref)
+        _, champion_tree = self.registry.load(champion_id)
         _, challenger_tree = self.registry.load(challenger_id)
+        if challenger_tree.feature_names != champion_tree.feature_names:
+            raise ValueError(
+                f"challenger {challenger_id} has feature schema "
+                f"{challenger_tree.feature_names}, champion {champion_id} "
+                f"has {champion_tree.feature_names}"
+            )
+        challenger_kernel = challenger_tree.compiled()
         criteria = self.config.criteria
         evaluator = ShadowEvaluator(
             champion_id,
@@ -172,23 +163,16 @@ class DriftHub:
             min_labelled=criteria.min_labelled,
         )
         with self._lock:
-            previous_champion = self._shadow_champion
             self._shadow = evaluator
             self._shadow_champion = champion_id
-            self._shadow_tree = challenger_tree
-            self._observe_state.pop(champion_id, None)
-            if previous_champion is not None:
-                self._observe_state.pop(previous_champion, None)
+            self._shadow_kernel = challenger_kernel
 
     def clear_shadow(self) -> None:
         """Drop the shadow pair (end of a pipeline cycle)."""
         with self._lock:
-            champion_id = self._shadow_champion
             self._shadow = None
             self._shadow_champion = None
-            self._shadow_tree = None
-            if champion_id is not None:
-                self._observe_state.pop(champion_id, None)
+            self._shadow_kernel = None
 
     # -- monitors --------------------------------------------------------
 
@@ -213,16 +197,18 @@ class DriftHub:
         X: np.ndarray,
         predictions: np.ndarray,
         actuals=None,
+        slots: Optional[np.ndarray] = None,
     ) -> DriftEvent:
         """Feed one served batch into the model's monitor (and shadow).
 
-        ``X`` is re-used to classify rows into leaves for the Eq. 4
-        profile detector and, when this model is the shadow champion,
-        to produce the challenger's predictions on identical inputs —
-        both from one fused comparison pass over the model's
-        :class:`~repro.mtree.compiled.CompiledForest`.
+        ``slots`` is each row's leaf slot in the model's compiled tree
+        (:meth:`~repro.mtree.compiled.CompiledTree.route`), as the
+        serving engine's kernel computed it; without it the rows are
+        routed here.  The leaves feed the Eq. 4 profile detector.  When
+        this model is the shadow champion, ``X`` also goes through the
+        challenger's compiled tree, so both see identical inputs.
 
-        The engine passes resolved model ids, so the monitor/forest
+        The engine passes resolved model ids, so the monitor/kernel
         state is cached under the id given here; aliases still share
         one monitor because creation goes through :meth:`monitor_for`.
         """
@@ -233,7 +219,7 @@ class DriftHub:
         with self._lock:
             shadow = self._shadow
             shadow_champion = self._shadow_champion
-            shadow_tree = self._shadow_tree
+            shadow_kernel = self._shadow_kernel
             taps = self._taps
         for tap in taps:
             tap(model_id, X, predictions, actuals)
@@ -241,31 +227,17 @@ class DriftHub:
         if state is None:
             monitor = self.monitor_for(model_id)
             _, tree = self.registry.load(model_id)
-            members = [(model_id, tree)]
-            if shadow is not None and model_id == shadow_champion:
-                members.append((shadow.challenger_id, shadow_tree))
-            state = _ObserveState(monitor, CompiledForest(members))
+            state = _ObserveState(monitor, tree.compiled())
             with self._lock:
                 self._observe_state[model_id] = state
-        monitor, forest = state.monitor, state.forest
-        went = forest.comparisons(X)
-        slots = forest.members[0].route(
-            X,
-            checked=True,
-            went_left=np.ascontiguousarray(went[:, forest.slices[0]]),
-        )
-        if len(forest) > 1 and shadow is not None:
+        if slots is None:
+            slots = state.kernel.route(X)
+        if shadow is not None and model_id == shadow_champion:
             # Predict the challenger *before* the monitor fires its
             # actions: a promote decision made inside an action sees a
             # shadow evaluator already fed with this batch.
-            challenger_pred = forest.members[1].predict(
-                X,
-                checked=True,
-                went_left=np.ascontiguousarray(went[:, forest.slices[1]]),
-            )
-            shadow.observe(predictions, challenger_pred, actuals)
-        event = monitor.observe(predictions, actuals, state.vocab[slots])
-        return event
+            shadow.observe(predictions, shadow_kernel.predict(X), actuals)
+        return state.monitor.observe(predictions, actuals, state.vocab[slots])
 
     # -- reading ---------------------------------------------------------
 

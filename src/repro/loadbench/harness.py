@@ -32,12 +32,14 @@ as zero-latency successes.
 from __future__ import annotations
 
 import http.client
+import itertools
 import json
+import math
 import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro.obs.telemetry import TRACE_HEADER
@@ -71,8 +73,10 @@ class LoadConfig:
     rate: float = 100.0
     #: rows per request (the serving batch the paper's numbers use).
     batch_rows: int = 64
-    #: the request body; built once, identical for every request, so
-    #: the measurement isolates the serving path, not payload variety.
+    #: the request rows.  With more rows than ``batch_rows``, each
+    #: request sends the next ``batch_rows`` of them, wrapping around;
+    #: otherwise every request sends them all.  Bodies are encoded
+    #: before the clock starts.
     instances: Optional[List[List[float]]] = None
     #: one label per instance, sent as ``actuals`` so the server's drift
     #: monitor (and an armed pipeline) sees labelled traffic.
@@ -210,19 +214,31 @@ def _default_instances(
     ]
 
 
+def _bodies(config: LoadConfig) -> Tuple[List[bytes], int]:
+    """Every distinct request body in sending order, and rows per body."""
+    instances = config.instances
+    if instances is None:
+        instances = _default_instances(config.batch_rows, config.seed)
+    n = len(instances)
+    size = min(n, config.batch_rows)
+    bodies = []
+    for k in range(n // math.gcd(n, size) if n else 1):
+        rows = [(k * size + i) % n for i in range(size)]
+        payload: Dict[str, Any] = {"instances": [instances[r] for r in rows]}
+        if config.actuals is not None:
+            payload["actuals"] = [config.actuals[r] for r in rows]
+        bodies.append(json.dumps(payload).encode())
+    return bodies, size
+
+
 def run_load(config: LoadConfig) -> LoadResult:
     """Drive one load run; blocks for ``config.duration_s``."""
     parts = urlsplit(config.url)
     host, port = parts.hostname or "127.0.0.1", parts.port or 80
     path = f"/v1/models/{config.model}/predict"
-    instances = config.instances
-    if instances is None:
-        instances = _default_instances(config.batch_rows, config.seed)
-    payload: Dict[str, Any] = {"instances": instances}
-    if config.actuals is not None:
-        payload["actuals"] = config.actuals
-    body = json.dumps(payload).encode()
-    rows_per_request = len(instances)
+    bodies, rows_per_request = _bodies(config)
+    # Shared by every sender: each request takes the next body.
+    next_body = itertools.cycle(bodies).__next__
 
     lock = threading.Lock()
     latencies: List[float] = []
@@ -252,7 +268,7 @@ def run_load(config: LoadConfig) -> LoadResult:
             try:
                 while not stop.is_set() and time.perf_counter() < deadline:
                     t0 = time.perf_counter()
-                    ok, replica = sender.request(path, body)
+                    ok, replica = sender.request(path, next_body())
                     record(ok, replica, time.perf_counter() - t0)
                     if think_s > 0:
                         stop.wait(think_s)
@@ -292,7 +308,7 @@ def run_load(config: LoadConfig) -> LoadResult:
                         break
                     if stop.is_set():
                         break
-                    ok, replica = sender.request(path, body)
+                    ok, replica = sender.request(path, next_body())
                     record(ok, replica, time.perf_counter() - target)
             finally:
                 sender.close()

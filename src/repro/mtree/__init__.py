@@ -16,7 +16,7 @@ refinements (Wang & Witten), as used by the paper via WEKA:
   (:mod:`repro.mtree.render`), and JSON serialization.
 """
 
-from repro.mtree.compiled import CompiledForest, CompiledTree
+from repro.mtree.compiled import CompiledTree
 from repro.mtree.linear import LinearModel, fit_linear_model, row_dot
 from repro.mtree.tree import LeafNode, ModelTree, ModelTreeConfig, SplitNode
 from repro.mtree.importance import (
@@ -29,7 +29,6 @@ from repro.mtree.serialize import tree_from_dict, tree_to_dict
 from repro.mtree.smoothing import compose_smoothed
 
 __all__ = [
-    "CompiledForest",
     "CompiledTree",
     "LeafNode",
     "LinearModel",

@@ -48,21 +48,21 @@ modes; only the linear algebra is single-precision, with relative
 error around 1e-5 (documented in docs/PERFORMANCE.md; composed
 smoothing sums amplify rounding past the naive single-dot 1e-7).
 
-:class:`CompiledForest` fuses several compiled trees over one request
-batch — a single comparison pass feeds every member's routing, so
-evaluating champion + challengers costs barely more than the champion
-alone.  That is what makes serving-time shadow evaluation ~free.
+:meth:`CompiledTree.predict` accepts the leaf slots a caller already
+got from :meth:`CompiledTree.route`, so one routing pass can serve
+both a prediction and a leaf profile: the prediction engine routes
+each flushed batch once and hands the slots to the drift hub.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.mtree.linear import row_dot
 
-__all__ = ["CompiledTree", "CompiledForest"]
+__all__ = ["CompiledTree"]
 
 
 class CompiledTree:
@@ -156,26 +156,17 @@ class CompiledTree:
             )
         return X
 
-    def route(
-        self,
-        X: np.ndarray,
-        *,
-        checked: bool = False,
-        went_left: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def route(self, X: np.ndarray, *, checked: bool = False) -> np.ndarray:
         """Leaf slot (0..n_leaves-1, LM order) for every row.
 
         Comparisons run on the float64 inputs regardless of
         ``dtype``, so routing never depends on the precision mode.
-        ``went_left`` optionally supplies a precomputed comparison
-        matrix (a :class:`CompiledForest` shares one across members).
         """
         if not checked:
             X = self._check(X)
         if self._split_feature.size == 0:
             return np.zeros(X.shape[0], dtype=np.int64)
-        if went_left is None:
-            went_left = X[:, self._split_feature] <= self._split_threshold
+        went_left = X[:, self._split_feature] <= self._split_threshold
         # score[r, l] counts left turns taken minus wrong-way right
         # turns; it equals lefts[l] exactly when every split on l's
         # path went the required way, and the tree partitions the
@@ -195,20 +186,23 @@ class CompiledTree:
         smooth: Optional[bool] = None,
         *,
         checked: bool = False,
-        went_left: Optional[np.ndarray] = None,
+        slots: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Predicted CPI per row; smoothing per the tree's config unless
         overridden.  Smoothed and raw prediction cost the same — one
         gather and one row-wise dot against the matching coefficient
         matrix.  In float64 mode the result is bit-identical to the
         recursive walk; in float32 mode the model arithmetic (not the
-        routing) runs in single precision.
+        routing) runs in single precision.  ``slots`` optionally
+        supplies this tree's :meth:`route` of ``X``, which is then not
+        routed again.
         """
         X = X if checked else self._check(X)
         use_smoothing = (
             self.smooth_default if smooth is None else bool(smooth)
         )
-        slots = self.route(X, checked=True, went_left=went_left)
+        if slots is None:
+            slots = self.route(X, checked=True)
         Xd = X if self.dtype == np.float64 else X.astype(self.dtype)
         f = self.n_features
         models = (
@@ -218,120 +212,3 @@ class CompiledTree:
         )
         gathered = models[slots]
         return row_dot(Xd, gathered[:, :f]) + gathered[:, f]
-
-
-class CompiledForest:
-    """Several compiled trees evaluated against one batch in one call.
-
-    All members must share the feature schema (they predict the same
-    request rows).  The split predicates of every member are fused into
-    a single comparison pass; each member then routes and evaluates
-    from its slice of the shared comparison matrix.  Per-member outputs
-    are bit-identical to that member's :meth:`CompiledTree.predict`.
-    """
-
-    def __init__(
-        self,
-        members: Sequence[Tuple[str, object]],
-        dtype=np.float64,
-    ) -> None:
-        """``members`` is an ordered sequence of ``(name, tree)`` pairs
-        where ``tree`` is a fitted :class:`~repro.mtree.tree.ModelTree`
-        or an already-:class:`CompiledTree`.
-        """
-        if not members:
-            raise ValueError("a forest needs at least one member")
-        self.names: Tuple[str, ...] = tuple(name for name, _ in members)
-        if len(set(self.names)) != len(self.names):
-            raise ValueError(f"duplicate member names in {self.names}")
-        compiled = [
-            tree if isinstance(tree, CompiledTree) else CompiledTree(tree, dtype)
-            for _, tree in members
-        ]
-        schema = compiled[0].feature_names
-        for name, member in zip(self.names, compiled):
-            if member.feature_names != schema:
-                raise ValueError(
-                    f"member {name!r} has feature schema "
-                    f"{member.feature_names}, expected {schema}"
-                )
-        self.members: Tuple[CompiledTree, ...] = tuple(compiled)
-        self.feature_names = schema
-        self.n_features = len(schema)
-        # Fused comparison pass: concatenated split predicates, with
-        # each member owning a slice of the comparison matrix.
-        self._all_features = np.concatenate(
-            [m._split_feature for m in compiled]
-        )
-        self._all_thresholds = np.concatenate(
-            [m._split_threshold for m in compiled]
-        )
-        bounds = np.cumsum([0] + [m._split_feature.size for m in compiled])
-        #: Column range of each member in the :meth:`comparisons` matrix.
-        self.slices: Tuple[slice, ...] = tuple(
-            slice(int(bounds[i]), int(bounds[i + 1]))
-            for i in range(len(compiled))
-        )
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def comparisons(
-        self, X: np.ndarray, *, checked: bool = False
-    ) -> np.ndarray:
-        """The fused ``(n, total_splits)`` comparison matrix.
-
-        One pass evaluates every member's split predicates; member
-        ``i`` routes (or predicts) from columns ``self.slices[i]`` via
-        the ``went_left`` parameter of :meth:`CompiledTree.route` /
-        :meth:`CompiledTree.predict`.  Callers that need different
-        operations per member — e.g. the drift hub, which *routes* the
-        champion but *predicts* the challenger — share the pass this
-        way without paying for outputs they discard.
-        """
-        if not checked:
-            X = self.members[0]._check(X)
-        if self._all_features.size == 0:
-            return np.zeros((X.shape[0], 0), dtype=bool)
-        return X[:, self._all_features] <= self._all_thresholds
-
-    def route(self, X: np.ndarray) -> np.ndarray:
-        """(n_members, n) leaf slots, one shared comparison pass."""
-        X = self.members[0]._check(X)
-        went = self.comparisons(X, checked=True)
-        slots = np.empty((len(self.members), X.shape[0]), dtype=np.int64)
-        for i, (member, sl) in enumerate(zip(self.members, self.slices)):
-            slots[i] = member.route(
-                X, checked=True, went_left=np.ascontiguousarray(went[:, sl])
-            )
-        return slots
-
-    def predict(
-        self, X: np.ndarray, smooth: Optional[bool] = None
-    ) -> np.ndarray:
-        """(n_members, n) predictions for one request batch.
-
-        Row ``i`` equals ``self.members[i].predict(X, smooth)`` bit for
-        bit; the fused pass only shares the comparison work.
-        """
-        X = self.members[0]._check(X)
-        went = self.comparisons(X, checked=True)
-        out = np.empty(
-            (len(self.members), X.shape[0]),
-            dtype=np.result_type(*(m.dtype for m in self.members)),
-        )
-        for i, (member, sl) in enumerate(zip(self.members, self.slices)):
-            out[i] = member.predict(
-                X,
-                smooth=smooth,
-                checked=True,
-                went_left=np.ascontiguousarray(went[:, sl]),
-            )
-        return out
-
-    def predict_dict(
-        self, X: np.ndarray, smooth: Optional[bool] = None
-    ) -> Dict[str, np.ndarray]:
-        """Member-name -> predictions mapping for one batch."""
-        stacked = self.predict(X, smooth=smooth)
-        return {name: stacked[i] for i, name in enumerate(self.names)}

@@ -23,9 +23,9 @@ reconstructable timeline:
   perf_counter marks on each request (flushes are serialized, so they
   must not build records or touch the log), and the handler converts
   them to spans once the result is in.  Only ``drift_observe`` — which
-  runs after the response is on the wire — arrives as a supplementary
-  ``kind="engine"`` record from the engine's batcher, and only when a
-  drift hub is attached.
+  the batcher runs after the flush, often once the response is on the
+  wire — arrives as a supplementary ``kind="engine"`` record, and only
+  when a drift hub is attached.
 * **Reconstruction** — :func:`reconstruct_traces` folds those records
   back into one :class:`TraceView` per trace ID, from which the span
   tree, per-stage durations and latency coverage fall out.

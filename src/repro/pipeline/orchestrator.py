@@ -30,9 +30,10 @@ thread feeds :meth:`DriftHub.observe` (the serving engine's batch
 worker, or an offline replay loop).  That makes the same code path
 exact under replay and live serving, and leaves nothing to join on
 shutdown.  A retrain is a synchronous tree fit on the feeding thread —
-hundreds of milliseconds at the default buffer size, paid off the
-client latency path because the engine observes drift after answering
-callers.
+hundreds of milliseconds at the default buffer size.  The serving
+engine feeds the hub on its batcher thread, so no caller waits for the
+fit itself, but the fit holds the interpreter for most of that time:
+requests that arrive meanwhile are slowed.
 
 Every state change is journalled atomically
 (:class:`~repro.pipeline.journal.PipelineJournal`), so a killed

@@ -8,8 +8,8 @@ package keeps such trees alive beyond the training process:
   store of serialized trees with integrity hashes, aliases
   (``latest``) and an in-process LRU of deserialized models.
 * :mod:`repro.serve.engine` — a micro-batching prediction engine:
-  requests coalesce in a queue and flush through the vectorized
-  ``ModelTree.predict`` (max-batch / max-wait knobs).
+  requests coalesce in a queue and flush through the compiled kernel
+  (max-batch / max-wait knobs).
 * :mod:`repro.serve.api` — a threaded stdlib HTTP/JSON API with
   structured errors, request-size limits, graceful drain,
   ``X-Repro-Trace`` propagation, SLO tracking and opt-in per-request

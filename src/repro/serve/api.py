@@ -100,6 +100,10 @@ DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Which cluster replica answered — absent on single-process servers.
 REPLICA_HEADER = "X-Repro-Replica"
 
+#: Seconds between ``serve_forever``'s checks for a shutdown request;
+#: socketserver's default of 0.5 s made every shutdown wait ~0.45 s.
+POLL_INTERVAL_S = 0.05
+
 _HTTP_REQUESTS = counter("serve.http.requests")
 _HTTP_2XX = counter("serve.http.responses_2xx")
 _HTTP_4XX = counter("serve.http.responses_4xx")
@@ -698,34 +702,40 @@ class _Handler(OneWriteHandler):
                 )
             actuals = _decode_actuals(body, X.shape[0])
         t_predict = time.perf_counter()
-        # The loaded (record, tree) pair, not ``ref``: the engine makes
-        # no second registry lookup, and an alias moved by a promotion
-        # since ``load()`` cannot pair this id with another model's
-        # predictions.
-        predictions = server.engine.predict(
-            (record, tree), X, smooth=smooth, actuals=actuals, trace=trace
-        )
-        predict_s = time.perf_counter() - t_predict
-        # Recording the call is part of answering it, so the respond
-        # stage times it rather than leaving a gap in the timeline.
-        with trace.stage("respond") if trace else nullcontext():
-            with server.stats_lock:
-                _PREDICTIONS.inc(X.shape[0])
-                summary(
-                    "serve.predict.latency_s",
-                    labels={"model": record.model_id},
-                ).observe(predict_s)
-            self._send(
-                200,
-                _json(
-                    {
-                        "model_id": record.model_id,
-                        "n": int(X.shape[0]),
-                        "predictions": predictions.tolist(),
-                        "trace": self._trace_id,
-                    }
-                ),
+        engine = server.engine
+        # This handler wakes the drift hub for an idle flush when the
+        # block ends, after the response is written (or its write
+        # failed); another wake or a batcher flush may come first.
+        with engine.answering():
+            # The loaded (record, tree) pair, not ``ref``: the engine
+            # makes no second registry lookup, and an alias moved by a
+            # promotion since ``load()`` cannot pair this id with
+            # another model's predictions.
+            predictions = engine.predict(
+                (record, tree), X, smooth=smooth, actuals=actuals,
+                trace=trace,
             )
+            predict_s = time.perf_counter() - t_predict
+            # Recording the call is part of answering it, so the respond
+            # stage times it rather than leaving a gap in the timeline.
+            with trace.stage("respond") if trace else nullcontext():
+                with server.stats_lock:
+                    _PREDICTIONS.inc(X.shape[0])
+                    summary(
+                        "serve.predict.latency_s",
+                        labels={"model": record.model_id},
+                    ).observe(predict_s)
+                self._send(
+                    200,
+                    _json(
+                        {
+                            "model_id": record.model_id,
+                            "n": int(X.shape[0]),
+                            "predictions": predictions.tolist(),
+                            "trace": self._trace_id,
+                        }
+                    ),
+                )
         return 200
 
 
@@ -880,6 +890,7 @@ class ModelServer:
         self.engine.start()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            args=(POLL_INTERVAL_S,),
             name="repro-serve-http",
             daemon=True,
         )
@@ -889,7 +900,7 @@ class ModelServer:
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`shutdown` (the CLI)."""
         self.engine.start()
-        self._httpd.serve_forever()
+        self._httpd.serve_forever(POLL_INTERVAL_S)
 
     def shutdown(self) -> None:
         """Stop accepting, drain queued predictions, release the socket."""

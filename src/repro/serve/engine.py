@@ -30,9 +30,15 @@ composition by construction.
 
 The drift hub, when attached, is fed only by the batcher, in flush
 order: each flush queues its batch for the hub while it holds the
-flush lock, and the batcher observes the queued batches after its own
-flushes or when an idle flush wakes it.  A caller thread never runs
-the monitor or a retrain.
+flush lock, with the leaf slots the kernel routed its rows to, so the
+hub never routes a row twice.  The batcher observes every queued
+batch right after its own flushes and whenever an idle flush's caller
+wakes it: a front end that wraps predict-and-respond in
+:meth:`~PredictionEngine.answering` wakes it after the response is
+written, and a bare :meth:`~PredictionEngine.predict` wakes it before
+returning.  An earlier wake or a batcher flush can observe an idle
+batch sooner, while its caller is still answering.  A caller thread
+never runs the monitor or a retrain.
 
 The engine also answers the characterization queries a model server
 needs beyond raw CPI: leaf profiles (which linear models exist, their
@@ -239,8 +245,28 @@ class PredictionFuture:
 
 
 _SHUTDOWN = object()
-#: Queued by an idle flush to wake the batcher for the drift hub.
+#: Queued after an idle flush to wake the batcher for the drift hub.
 _OBSERVE = object()
+
+
+class _Answering(threading.local):
+    """Per-thread state of :meth:`PredictionEngine.answering` blocks."""
+
+    active = False
+    owes_wake = False
+
+    def __init__(self, wake_queue: "queue.SimpleQueue") -> None:
+        self._wake_queue = wake_queue
+
+    def __enter__(self) -> None:
+        self.active = True
+
+    def __exit__(self, *exc: object) -> None:
+        self.active = False
+        if self.owes_wake:
+            self.owes_wake = False
+            self._wake_queue.put(_OBSERVE)
+
 
 #: What :meth:`PredictionEngine.submit` accepts as the model: a ref to
 #: resolve, or a ``(record, tree)`` pair already loaded from the registry.
@@ -270,11 +296,17 @@ class PredictionEngine:
     ) -> None:
         """``drift``, when given, is a :class:`repro.drift.hub.DriftHub`
         (duck-typed: anything with ``observe(model_id, X, predictions,
-        actuals)``).  The batcher feeds it each flushed batch, in flush
-        order, *after* the batch's callers were answered, so monitoring
-        never sits on the client latency path; monitor failures are
-        counted, never propagated, and every batch flushed before
-        :meth:`stop` returns has been observed.
+        actuals, slots=...)``, where ``slots`` holds the kernel's leaf
+        slot per row).  The batcher feeds it each flushed batch, in
+        flush order, after the batch's futures are fulfilled, and
+        drains every batch queued so far whenever it runs: after its
+        own flushes, at once, while the handlers write those responses;
+        and when an idle flush's caller wakes it, which an
+        :meth:`answering` block defers until the response is written.
+        Under concurrency another caller's wake, or a batcher flush,
+        can observe an idle batch before its own caller's block ends.
+        Monitor failures are counted, never propagated, and every batch
+        flushed before :meth:`stop` returns has been observed.
         """
         self.registry = registry
         self.batch = batch or BatchConfig()
@@ -288,11 +320,19 @@ class PredictionEngine:
         self._submit_lock = threading.Lock()
         # Serializes every flush, the batcher's and idle callers'.
         self._flush_lock = threading.Lock()
-        # Flushed (group, predictions) the batcher has yet to feed the
-        # drift hub; appended under the flush lock, so in flush order.
+        # Flushed (group, rows, predictions, leaf slots) the batcher has
+        # yet to feed the drift hub; appended under the flush lock, so
+        # in flush order.
         self._unobserved: Deque[
-            Tuple[List[PredictionFuture], np.ndarray]
+            Tuple[List[PredictionFuture], np.ndarray, np.ndarray, np.ndarray]
         ] = deque()
+        # Requests ever enqueued (written under the submit lock) and
+        # ever dequeued (written by the batcher alone): the idle test
+        # compares the two, so a queued wake marker does not count as
+        # work.
+        self._queued = 0
+        self._taken = 0
+        self._answering = _Answering(self._queue)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -366,10 +406,10 @@ class PredictionEngine:
         perf_counter marks on the future, and
         :meth:`PredictionFuture.result` converts them to spans, so
         traced requests add no work to the serialized flushes.  The
-        exception is ``drift_observe``, which happens after callers
-        are answered: when a drift hub is attached the batcher emits
-        it as a small supplementary ``engine`` record sharing the
-        trace ID.
+        exception is ``drift_observe``, which the batcher runs after
+        the flush has fulfilled the futures: when a drift hub is
+        attached the batcher emits it as a small supplementary
+        ``engine`` record sharing the trace ID.
         """
         if self._closed or not self.running:
             raise RuntimeError("prediction engine is not running")
@@ -420,6 +460,10 @@ class PredictionEngine:
         enqueued for the batcher, exactly like :meth:`submit`.  A
         window (``max_wait_s > 0``) means "wait for company", so it
         always queues.
+
+        With a drift hub attached, an idle flush wakes the batcher to
+        observe the batch: before returning, or, inside an
+        :meth:`answering` block, when the block ends.
         """
         future = self.submit(
             ref, X, smooth=smooth, actuals=actuals, trace=trace,
@@ -427,7 +471,32 @@ class PredictionEngine:
         )
         if not self._flush_idle(future):
             self._enqueue(future)
+        elif self.drift is not None:
+            answering = self._answering
+            if answering.active:
+                answering.owes_wake = True
+            else:
+                self._queue.put(_OBSERVE)
         return future.result(timeout)
+
+    def answering(self) -> _Answering:
+        """Context for answering one caller: the hub waits until it ends.
+
+        An idle :meth:`predict` inside the block does not wake the
+        batcher; leaving the block does, even when it leaves by an
+        exception.  So the caller's own wake starts the hub only after
+        its response is written, or its write has failed; a concurrent
+        caller's wake, or a batcher flush, may still observe the batch
+        sooner.  The HTTP handler wraps predict and response in one
+        block::
+
+            with engine.answering():
+                predictions = engine.predict(ref, X)
+                send(predictions)
+
+        Blocks do not nest.
+        """
+        return self._answering
 
     def _enqueue(self, future: PredictionFuture) -> None:
         with self._submit_lock:
@@ -436,18 +505,20 @@ class PredictionEngine:
             _REQUESTS.inc()
             _ROWS.inc(future.X.shape[0])
             future.t_submit = time.perf_counter()
+            self._queued += 1
             self._queue.put(future)
             _QUEUE_DEPTH.set(self._queue.qsize())
 
     def _flush_idle(self, future: PredictionFuture) -> bool:
         """Flush ``future`` alone on this thread if the engine is idle.
 
-        Returns False, having done nothing, when a window is set, work
-        is queued, another flush holds the lock or :meth:`stop` has
-        begun.  ``_closed`` is re-read under the flush lock, which the
-        batcher's shutdown drain takes once ``_closed`` is set, so an
-        idle flush is either observed before :meth:`stop` returns or
-        refused.
+        Returns False, having done nothing, when a window is set, a
+        request is queued (a wake marker for the hub is not a request),
+        another flush holds the lock or :meth:`stop` has begun.
+        ``_closed`` is re-read under the flush lock, which the batcher's
+        shutdown drain takes once ``_closed`` is set, so an idle flush
+        is either observed before :meth:`stop` returns or refused.
+        Waking the batcher for the hub is :meth:`predict`'s job.
         """
         # Deciding to flush alone is this batch's assembly: the request
         # is dequeued the moment it is submitted.
@@ -455,7 +526,7 @@ class PredictionEngine:
         if (
             self.batch.max_wait_s > 0
             or self._closed
-            or not self._queue.empty()
+            or self._taken < self._queued
             or not self._flush_lock.acquire(blocking=False)
         ):
             return False
@@ -469,8 +540,6 @@ class PredictionEngine:
             self._flush([future])
         finally:
             self._flush_lock.release()
-        if self.drift is not None:
-            self._queue.put(_OBSERVE)  # the batcher feeds the hub
         return True
 
     # -- characterization queries ---------------------------------------
@@ -542,6 +611,7 @@ class PredictionEngine:
             if head is _SHUTDOWN:
                 break
             if head is not _OBSERVE:
+                self._taken += 1
                 with self._flush_lock:
                     self._coalesce(head)
             self._observe_flushed()
@@ -554,6 +624,7 @@ class PredictionEngine:
             except queue.Empty:
                 break
             if isinstance(item, PredictionFuture):
+                self._taken += 1
                 item.t_dequeue = t_drain
                 pending.append(item)
         if pending:
@@ -588,6 +659,7 @@ class PredictionEngine:
             if item is _SHUTDOWN:
                 self._queue.put(_SHUTDOWN)  # re-deliver for the drain
                 break
+            self._taken += 1
             item.t_dequeue = time.perf_counter()
             if (item.model_id, item.smooth) != (head.model_id, head.smooth):
                 # Different model/mode: flush what we have, then put
@@ -640,14 +712,18 @@ class PredictionEngine:
                 rows=rows,
             ):
                 # One model id is one content hash, so every request in
-                # the group carries a bit-identical tree.
-                if len(group) == 1:
-                    predictions = head.tree.predict(head.X, smooth=head.smooth)
-                else:
-                    stacked = np.vstack([r.X for r in group])
-                    predictions = head.tree.predict(
-                        stacked, smooth=head.smooth
-                    )
+                # the group carries a bit-identical tree.  submit()
+                # validated every X; the routing is kept for the hub.
+                X = (
+                    head.X
+                    if len(group) == 1
+                    else np.vstack([r.X for r in group])
+                )
+                kernel = head.tree.compiled()
+                slots = kernel.route(X, checked=True)
+                predictions = kernel.predict(
+                    X, head.smooth, checked=True, slots=slots
+                )
             t_kernel_end = time.perf_counter()
             _BATCHES.inc()
             offset = 0
@@ -663,7 +739,7 @@ class PredictionEngine:
                     request.batch_requests = len(group)
                 request.event.set()
             if self.drift is not None:
-                self._unobserved.append((group, predictions))
+                self._unobserved.append((group, X, predictions, slots))
         except BaseException as error:  # answer callers, keep serving
             _ERRORS.inc()
             for request in group:
@@ -675,16 +751,15 @@ class PredictionEngine:
         """Feed flushed batches to the drift hub, oldest first.
 
         Runs only on the batcher: after each of its own flushes, when
-        an idle flush wakes it, and once more at shutdown.  Callers
-        were answered at flush time, so this adds nothing to request
-        latency — only pipeline cost, which ``benchmarks/run_bench.py
-        --only drift`` measures.
+        woken after an idle flush (see :meth:`answering`), and once
+        more at shutdown.  ``benchmarks/run_bench.py --only drift``
+        measures the throughput it costs.
         """
         while self._unobserved:
-            group, predictions = self._unobserved.popleft()
+            group, X, predictions, slots = self._unobserved.popleft()
             try:
                 t_drift_start = time.perf_counter()
-                self._notify_drift(group, predictions)
+                self._notify_drift(group, X, predictions, slots)
                 t_drift_end = time.perf_counter()
                 self._emit_drift_traces(group, t_drift_start, t_drift_end)
             except Exception:
@@ -699,11 +774,12 @@ class PredictionEngine:
     ) -> None:
         """Emit the ``drift_observe`` span for each traced request.
 
-        Drift observation runs after callers are answered, so its span
-        cannot ride in the caller's own record — by the time the hub
-        has seen the batch, the response is already on the wire.  Each
-        traced request instead gets a small supplementary ``engine``
-        record on a child trace sharing its ID and clock;
+        Drift observation runs on the batcher after the flush, often
+        after the handler has written its response, so its span cannot
+        ride in the caller's own record, which the handler may already
+        have emitted.  Each traced request instead gets a small
+        supplementary ``engine`` record on a child trace sharing its ID
+        and clock;
         :func:`repro.obs.telemetry.reconstruct_traces` merges the two
         at read time.
         """
@@ -720,14 +796,13 @@ class PredictionEngine:
             )
 
     def _notify_drift(
-        self, group: List[PredictionFuture], predictions: np.ndarray
+        self,
+        group: List[PredictionFuture],
+        X: np.ndarray,
+        predictions: np.ndarray,
+        slots: np.ndarray,
     ) -> None:
         """Feed one flushed batch, with its actuals, to the drift hub."""
-        head = group[0]
-        if len(group) == 1:
-            X = head.X
-        else:
-            X = np.vstack([r.X for r in group])
         if any(r.actuals is not None for r in group):
             actuals = np.concatenate(
                 [
@@ -739,4 +814,6 @@ class PredictionEngine:
             )
         else:
             actuals = None
-        self.drift.observe(head.model_id, X, predictions, actuals)
+        self.drift.observe(
+            group[0].model_id, X, predictions, actuals, slots=slots
+        )

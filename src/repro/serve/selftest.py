@@ -241,7 +241,7 @@ def run_self_test(
             return 1
 
         # Drift: a labelled predict must show up in the monitor.  The
-        # engine feeds the hub after answering the caller, so poll
+        # batcher feeds the hub after the response is written, so poll
         # briefly instead of assuming the observation already landed.
         request = urllib.request.Request(
             f"{server.url}/v1/models/{ref}/predict",

@@ -240,15 +240,12 @@ class TestHubCompiledRouting:
 
     def test_observe_state_routes_like_recursive_walk(self, drift_tree):
         from repro.drift.hub import _ObserveState
-        from repro.mtree.compiled import CompiledForest
 
         monitor = DriftMonitor(ModelProfile.from_tree("m", drift_tree))
-        state = _ObserveState(
-            monitor, CompiledForest([("m", drift_tree)])
-        )
+        state = _ObserveState(monitor, drift_tree.compiled())
         rng = np.random.default_rng(23)
         X = rng.random((512, 3))
-        slots = state.forest.members[0].route(X)
+        slots = state.kernel.route(X)
         expected = monitor.leaf_indices(
             drift_tree.assign_leaves(X, compiled=False)
         )
@@ -256,14 +253,11 @@ class TestHubCompiledRouting:
 
     def test_vocab_marks_unknown_leaves(self, drift_tree):
         from repro.drift.hub import _ObserveState
-        from repro.mtree.compiled import CompiledForest
 
         # A profile missing one leaf name: that leaf must map to -1.
         names = drift_tree.leaf_names()
         profile = ModelProfile(model_id="m", leaf_names=tuple(names[:-1]))
-        state = _ObserveState(
-            DriftMonitor(profile), CompiledForest([("m", drift_tree)])
-        )
+        state = _ObserveState(DriftMonitor(profile), drift_tree.compiled())
         assert state.vocab[-1] == -1
         assert list(state.vocab[:-1]) == list(range(len(names) - 1))
 
@@ -298,6 +292,32 @@ class TestHubCompiledRouting:
         # leaf-share L1 — identical routing means identical values.
         assert hub_report["readings"] == ref_report["readings"]
 
+    def test_shadow_of_another_feature_schema_is_refused(
+        self, published, cpu_split, omp_tree
+    ):
+        """The challenger predicts on the champion's served columns, so a
+        challenger of the same width that names them otherwise is refused
+        when the pair is configured, at construction and at runtime."""
+        from repro.mtree.tree import ModelTree, ModelTreeConfig
+
+        registry, record = published
+        train, _ = cpu_split
+        names = record.feature_names
+        rotated = names[1:] + names[:1]
+        reordered = ModelTree(
+            ModelTreeConfig(min_leaf=60, smooth=False)
+        ).fit(np.roll(train.X, -1, axis=1), train.y, rotated)
+        registry.publish(reordered, aliases=("reordered",))
+        registry.publish(omp_tree, aliases=("challenger",))
+
+        with pytest.raises(ValueError, match="feature schema"):
+            DriftHub(registry, shadow=("latest", "reordered"))
+        hub = DriftHub(registry, shadow=("latest", "challenger"))
+        shadow = hub.shadow
+        with pytest.raises(ValueError, match="feature schema"):
+            hub.set_shadow("latest", "reordered")
+        assert hub.shadow is shadow
+
     def test_shadow_predictions_match_challenger_tree(
         self, published, cpu_split, omp_tree
     ):
@@ -317,7 +337,7 @@ class TestHubCompiledRouting:
 
         # A reference evaluator fed the challenger tree's own direct
         # predictions must agree on every windowed statistic — i.e. the
-        # hub's fused-forest challenger predictions are bit-identical.
+        # hub's challenger predictions are bit-identical.
         reference = ShadowEvaluator(
             record.model_id,
             challenger.model_id,

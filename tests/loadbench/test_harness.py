@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import re
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.loadbench import LoadConfig, run_load
-from repro.loadbench.harness import _default_instances, percentile
+from repro.loadbench.harness import _bodies, _default_instances, percentile
 from repro.loadbench.report import render_load_text, verify_bit_equality
 from repro.obs import read_events
 from repro.serve.api import ModelServer
@@ -79,6 +80,35 @@ class TestDefaultInstances:
         rows = _default_instances(5, 3)
         assert len(rows) == 5
         assert all(len(row) == 3 for row in rows)
+
+
+class TestBodies:
+    def test_small_batches_take_turns_over_the_rows(self):
+        rows = _default_instances(6, 1)
+        config = LoadConfig(
+            url="http://x",
+            batch_rows=4,
+            instances=rows,
+            actuals=[0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+        )
+        bodies, size = _bodies(config)
+        assert size == 4
+        windows = [[0, 1, 2, 3], [4, 5, 0, 1], [2, 3, 4, 5]]
+        sent = [json.loads(body) for body in bodies]
+        assert [b["instances"] for b in sent] == [
+            [rows[i] for i in window] for window in windows
+        ]
+        assert [b["actuals"] for b in sent] == [
+            [float(i) for i in window] for window in windows
+        ]
+
+    def test_rows_that_fit_go_in_every_request(self):
+        rows = _default_instances(4, 1)
+        bodies, size = _bodies(
+            LoadConfig(url="http://x", batch_rows=8, instances=rows)
+        )
+        assert size == 4
+        assert [json.loads(body) for body in bodies] == [{"instances": rows}]
 
 
 class TestClosedLoop:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mtree import tree as tree_module
-from repro.mtree.compiled import CompiledForest, CompiledTree
+from repro.mtree.compiled import CompiledTree
 from repro.mtree.tree import ModelTree, ModelTreeConfig
 
 #: docs/PERFORMANCE.md documents float32 model arithmetic as accurate
@@ -79,6 +79,18 @@ class TestBitEquality:
                 cpu_tree.assign_leaves(X),
                 cpu_tree.assign_leaves(X, compiled=False),
             )
+
+    def test_predict_from_routed_slots(self, cpu_tree, cpu_split):
+        """Slots from ``route`` give the same bits as routing inside."""
+        _, test = cpu_split
+        kernel = cpu_tree.compiled()
+        for X in (test.X[:1], test.X[:64], test.X):
+            slots = kernel.route(X)
+            for smooth in (None, True, False):
+                assert np.array_equal(
+                    kernel.predict(X, smooth, slots=slots),
+                    cpu_tree.predict(X, smooth=smooth),
+                )
 
     def test_batch_slicing_invariance(self, cpu_tree, cpu_split):
         """A row's prediction is independent of its batch neighbours."""
@@ -203,70 +215,3 @@ class TestCompiledCache:
             compiled.predict(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="expected"):
             compiled.route(np.zeros(4))
-
-
-class TestCompiledForest:
-    def test_members_bit_identical_to_solo_predict(self, cpu_tree, omp_tree_cpu_schema, cpu_split):
-        _, test = cpu_split
-        X = test.X[:300]
-        forest = CompiledForest(
-            [("champion", cpu_tree), ("challenger", omp_tree_cpu_schema)]
-        )
-        stacked = forest.predict(X)
-        assert stacked.shape == (2, 300)
-        assert np.array_equal(stacked[0], cpu_tree.predict(X))
-        assert np.array_equal(stacked[1], omp_tree_cpu_schema.predict(X))
-        by_name = forest.predict_dict(X)
-        assert np.array_equal(by_name["champion"], stacked[0])
-        assert np.array_equal(by_name["challenger"], stacked[1])
-
-    def test_route_matches_member_routing(self, cpu_tree, omp_tree_cpu_schema, cpu_split):
-        _, test = cpu_split
-        X = test.X[:100]
-        forest = CompiledForest(
-            [("a", cpu_tree), ("b", omp_tree_cpu_schema)]
-        )
-        slots = forest.route(X)
-        assert np.array_equal(slots[0], cpu_tree.compiled().route(X))
-        assert np.array_equal(
-            slots[1], omp_tree_cpu_schema.compiled().route(X)
-        )
-
-    def test_comparisons_slices_cover_all_splits(self, cpu_tree, omp_tree_cpu_schema, cpu_split):
-        _, test = cpu_split
-        X = test.X[:50]
-        forest = CompiledForest(
-            [("a", cpu_tree), ("b", omp_tree_cpu_schema)]
-        )
-        went = forest.comparisons(X)
-        total = sum(
-            m._split_feature.size for m in forest.members
-        )
-        assert went.shape == (50, total)
-        assert forest.slices[0].stop == forest.slices[1].start
-
-    def test_rejects_empty_and_duplicates_and_schema_mismatch(self, cpu_tree):
-        with pytest.raises(ValueError, match="at least one"):
-            CompiledForest([])
-        with pytest.raises(ValueError, match="duplicate"):
-            CompiledForest([("m", cpu_tree), ("m", cpu_tree)])
-        other, _ = random_tree(2, n_features=3)
-        with pytest.raises(ValueError, match="schema"):
-            CompiledForest([("a", cpu_tree), ("b", other)])
-
-    def test_single_member_forest(self, cpu_tree, cpu_split):
-        _, test = cpu_split
-        X = test.X[:64]
-        forest = CompiledForest([("only", cpu_tree)])
-        assert np.array_equal(
-            forest.predict(X)[0], cpu_tree.predict(X)
-        )
-
-
-@pytest.fixture(scope="module")
-def omp_tree_cpu_schema(cpu_split):
-    """A second tree over the *CPU* schema (forests need one schema)."""
-    train, _ = cpu_split
-    return ModelTree(ModelTreeConfig(min_leaf=60, smooth=False)).fit_sample_set(
-        train
-    )

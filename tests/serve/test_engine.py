@@ -8,6 +8,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.drift.hub import DriftHub
+from repro.mtree.tree import ModelTree, ModelTreeConfig
 from repro.obs.metrics import get_registry
 from repro.obs.telemetry import RequestTrace
 from repro.serve import engine as engine_module
@@ -137,7 +139,9 @@ class _HoldFirstFlush:
         self.holding = threading.Event()
         self.release = threading.Event()
 
-    def observe(self, model_id, X, predictions, actuals) -> None:
+    def observe(
+        self, model_id, X, predictions, actuals, slots=None
+    ) -> None:
         if not self.holding.is_set():
             self.holding.set()
             self.release.wait(30)
@@ -229,7 +233,7 @@ class TestQueueWait:
 
 
 class _KernelLog:
-    """Stands in for one tree's ``predict`` and logs every batch.
+    """Stands in for one tree's compiled ``predict`` and logs every batch.
 
     Records the thread that ran each batch and a copy of its rows, in
     call order; flushes are serialized, so that is flush order.  With
@@ -242,15 +246,16 @@ class _KernelLog:
         self.holding = threading.Event()
         self.release = threading.Event()
         self._hold = hold_first
-        self._predict = tree.predict
-        tree.predict = self
+        kernel = tree.compiled()
+        self._predict = kernel.predict
+        kernel.predict = self
 
-    def __call__(self, X, smooth=None):
+    def __call__(self, X, smooth=None, **kwargs):
         self.calls.append((threading.current_thread().name, X.copy()))
         if self._hold and not self.holding.is_set():
             self.holding.set()
             self.release.wait(30)
-        return self._predict(X, smooth=smooth)
+        return self._predict(X, smooth, **kwargs)
 
     @property
     def threads(self):
@@ -263,7 +268,9 @@ class _RecordingHub:
     def __init__(self) -> None:
         self.calls = []
 
-    def observe(self, model_id, X, predictions, actuals) -> None:
+    def observe(
+        self, model_id, X, predictions, actuals, slots=None
+    ) -> None:
         self.calls.append((threading.current_thread().name, X.copy()))
 
 
@@ -422,6 +429,11 @@ class TestDriftHandOff:
                     thread.start()
                 for thread in threads:
                     thread.join(30)
+                # Every request was dequeued exactly once, so the idle
+                # test sees an empty queue and this caller flushes alone.
+                assert engine._taken == engine._queued
+                engine.predict(record.model_id, rng.random((2, 3)))
+                assert kernel.threads[-1] == threading.current_thread().name
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
@@ -508,6 +520,143 @@ class TestDriftHandOff:
         for X in completed:
             for row in X:
                 assert row.tobytes() in observed
+
+
+class TestDeferredWake:
+    """An idle flush's batch reaches the hub once its caller is done."""
+
+    def test_bare_predict_is_observed_without_stop(self, registry, probe):
+        """A bare ``predict()`` wakes the batcher before it returns, so
+        its batch is observed while the engine keeps running."""
+        record = registry.publish(make_tree(seed=78))
+        hub = _RecordingHub()
+        with PredictionEngine(registry, drift=hub) as engine:
+            engine.predict(record.model_id, probe)
+            assert _wait_for(lambda: len(hub.calls) == 1, timeout=5)
+        np.testing.assert_array_equal(hub.calls[0][1], probe)
+
+    def test_answering_defers_the_wake_to_the_block_end(
+        self, registry, probe
+    ):
+        record = registry.publish(make_tree(seed=79))
+        hub = _RecordingHub()
+        with PredictionEngine(registry, drift=hub) as engine:
+            with engine.answering():
+                engine.predict(record.model_id, probe)
+                time.sleep(0.05)
+                assert hub.calls == []
+            assert _wait_for(lambda: len(hub.calls) == 1, timeout=5)
+        assert [name for name, _ in hub.calls] == [BATCHER]
+
+    def test_a_queued_wake_is_not_queued_work(self, registry, probe):
+        """With only a wake marker in the queue (the batcher is busy in
+        the hub), the next predict still flushes on its own thread."""
+        tree = make_tree(seed=80)
+        record = registry.publish(tree)
+        kernel = _KernelLog(tree)
+        hub = _HoldFirstFlush()
+        with PredictionEngine(registry, drift=hub) as engine:
+            try:
+                engine.predict(record.model_id, probe, timeout=10)
+                assert hub.holding.wait(10)
+                # Idle again; its wake marker waits behind the held hub.
+                engine.predict(record.model_id, probe, timeout=10)
+                assert not engine._queue.empty()
+                engine.predict(record.model_id, probe, timeout=2)
+            finally:
+                hub.release.set()
+        assert kernel.threads == [threading.current_thread().name] * 3
+
+
+def _leafy_tree(seed: int) -> ModelTree:
+    """A four-leaf tree over the 3-feature schema of ``make_tree``."""
+    rng = np.random.default_rng(seed)
+    X = rng.random((2000, 3))
+    y = np.where(
+        X[:, 0] <= 0.5,
+        np.where(X[:, 1] <= 0.5, 1 + X[:, 2], 3 - X[:, 2]),
+        np.where(X[:, 2] <= 0.3, 5 + X[:, 1], 8 - 2 * X[:, 1]),
+    )
+    y = y + 0.01 * rng.standard_normal(2000)
+    return ModelTree(ModelTreeConfig(min_leaf=40)).fit(X, y, ("p", "q", "r"))
+
+
+def _record_calls(obj, name: str, log: list) -> None:
+    """Wrap ``obj.name`` so that each call's positional args land in
+    ``log``."""
+    original = getattr(obj, name)
+
+    def recorded(*args, **kwargs):
+        log.append(args)
+        return original(*args, **kwargs)
+
+    setattr(obj, name, recorded)
+
+
+class _SpyHub(DriftHub):
+    """A real hub that records each batch and the leaf slots it was
+    handed, and parks the batcher in its first ``observe()`` until
+    :attr:`release` is set."""
+
+    def __init__(self, registry, shadow) -> None:
+        super().__init__(registry, shadow=shadow)
+        self.holding = threading.Event()
+        self.release = threading.Event()
+        self.batches = []
+
+    def observe(self, model_id, X, predictions, actuals=None, slots=None):
+        if not self.holding.is_set():
+            self.holding.set()
+            self.release.wait(30)
+        self.batches.append((X.copy(), slots))
+        return super().observe(model_id, X, predictions, actuals, slots=slots)
+
+
+class TestRouteOnce:
+    def test_coalesced_flush_hands_the_hub_its_kernel_routing(
+        self, registry
+    ):
+        """Four requests flush as one batch; the hub gets the kernel's
+        leaf slots instead of routing the rows again, its monitor sees
+        ``assign_leaves`` and its shadow sees ``challenger.predict``,
+        bit for bit."""
+        champion_tree, challenger_tree = _leafy_tree(81), _leafy_tree(82)
+        champion = registry.publish(champion_tree)
+        challenger = registry.publish(challenger_tree, aliases=())
+        hub = _SpyHub(registry, (champion.model_id, challenger.model_id))
+        monitor = hub.monitor_for(champion.model_id)
+        monitor_calls, shadow_calls = [], []
+        _record_calls(monitor, "observe", monitor_calls)
+        _record_calls(hub.shadow, "observe", shadow_calls)
+        rng = np.random.default_rng(83)
+        inputs = [rng.random((rows, 3)) for rows in (5, 1, 9, 3)]
+        batches = get_registry().counter("serve.engine.batches")
+        with PredictionEngine(registry, drift=hub) as engine:
+            try:
+                engine.predict(champion.model_id, rng.random((2, 3)))
+                assert hub.holding.wait(10)
+                before = batches.value
+                futures = [
+                    engine.submit(champion.model_id, X) for X in inputs
+                ]
+            finally:
+                hub.release.set()
+            for X, future in zip(inputs, futures):
+                np.testing.assert_array_equal(
+                    future.result(10), champion_tree.predict(X)
+                )
+            flushed = batches.value - before
+        assert flushed == 1
+        assert len(hub.batches) == len(monitor_calls) == 2
+        X = np.vstack(inputs)
+        observed, slots = hub.batches[1]
+        np.testing.assert_array_equal(observed, X)
+        assert slots is not None
+        np.testing.assert_array_equal(
+            monitor_calls[1][2],
+            monitor.leaf_indices(champion_tree.assign_leaves(X)),
+        )
+        assert np.array_equal(shadow_calls[1][1], challenger_tree.predict(X))
 
 
 class TestHotSwap:

@@ -1,6 +1,8 @@
 """HTTP API: end-to-end round trips, validation, limits, metrics."""
 
 import json
+import socket
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.serve.api import ModelServer
+from repro.serve.api import ModelServer, _Handler
 from repro.serve.engine import BatchConfig
 from repro.serve.registry import ModelRegistry
 
@@ -494,6 +496,84 @@ class TestDriftRoute:
         assert status == 200
         assert body["monitoring"] is False
         assert body["model_id"] == registry.resolve("latest")
+
+
+class _SendOrderHub:
+    """Drift-hub stand-in: records, per observed batch, whether the
+    handler's response write had finished (or failed) by then."""
+
+    def __init__(self, sent: threading.Event) -> None:
+        self.sent = sent
+        self.sent_first = []
+        self.observed = threading.Event()
+
+    def observe(
+        self, model_id, X, predictions, actuals, slots=None
+    ) -> None:
+        self.sent_first.append(self.sent.is_set())
+        self.observed.set()
+
+
+def _slow_predict_send(monkeypatch, fail: bool = False) -> threading.Event:
+    """Make every predict response take 50 ms to write, then succeed or
+    (``fail``) raise the BrokenPipeError of a client that hung up.
+    Returns the event set once the write is over."""
+    sent = threading.Event()
+    original = _Handler._send
+
+    def send(self, status, body, content_type="application/json"):
+        if not self.path.endswith("/predict"):
+            return original(self, status, body, content_type)
+        time.sleep(0.05)
+        try:
+            if fail:
+                raise BrokenPipeError("client hung up")
+            original(self, status, body, content_type)
+        finally:
+            sent.set()
+
+    monkeypatch.setattr(_Handler, "_send", send)
+    return sent
+
+
+class TestHubAfterResponse:
+    """An idle request's batch reaches the drift hub only after its
+    handler is done writing the response."""
+
+    def test_observe_begins_after_the_response_is_written(
+        self, registry, tiny_tree, probe, monkeypatch
+    ):
+        registry.publish(tiny_tree)
+        hub = _SendOrderHub(_slow_predict_send(monkeypatch))
+        with ModelServer(registry, port=0, drift=hub) as server:
+            status, body = post_json(
+                server,
+                "/v1/models/latest/predict",
+                {"instances": probe.tolist()},
+            )
+            assert status == 200
+            assert hub.observed.wait(5)
+        assert hub.sent_first == [True]
+        np.testing.assert_array_equal(
+            body["predictions"], tiny_tree.predict(probe)
+        )
+
+    def test_client_hang_up_still_feeds_the_hub(
+        self, registry, tiny_tree, probe, monkeypatch
+    ):
+        registry.publish(tiny_tree)
+        hub = _SendOrderHub(_slow_predict_send(monkeypatch, fail=True))
+        body = json.dumps({"instances": probe.tolist()}).encode()
+        with ModelServer(registry, port=0, drift=hub) as server:
+            with socket.create_connection(server.address, timeout=10) as c:
+                c.sendall(
+                    b"POST /v1/models/latest/predict HTTP/1.1\r\n"
+                    b"Host: test\r\nContent-Type: application/json\r\n"
+                    b"Content-Length: %d\r\n\r\n" % len(body) + body
+                )
+            # The client is gone; no stop() helps the hub along.
+            assert hub.observed.wait(5)
+        assert hub.sent_first == [True]
 
 
 class TestShutdown:

@@ -306,15 +306,19 @@ class TestFailurePathCounters:
         from repro.serve import engine as engine_mod
 
         record = registry.publish(tiny_tree)
+        _, tree = registry.load(record.model_id)
         metrics = get_registry()
         before = metrics.counter("serve.engine.drained_requests").value
         engine = PredictionEngine(registry)
         # Enqueue work behind the shutdown sentinel before the worker
         # starts: the worker's first dequeue is the sentinel, so both
-        # requests can only be answered by the drain path.
+        # requests can only be answered by the drain path.  Each future
+        # carries its validated rows and tree, as submit() builds it.
+        rng = np.random.default_rng(7)
+        inputs = [tree._check_X(rng.random((rows, 3))) for rows in (1, 4)]
         stranded = [
-            engine_mod.PredictionFuture(record.model_id, None, np.zeros((1, 3)))
-            for _ in range(2)
+            engine_mod.PredictionFuture(record.model_id, None, X, tree=tree)
+            for X in inputs
         ]
         engine._queue.put(engine_mod._SHUTDOWN)
         for request in stranded:
@@ -324,9 +328,11 @@ class TestFailurePathCounters:
         assert metrics.counter("serve.engine.drained_requests").value == (
             before + 2
         )
-        for request in stranded:
+        for request, X in zip(stranded, inputs):
             assert request.event.is_set()
-            assert request.result is not None
+            np.testing.assert_array_equal(
+                request.result(0), tiny_tree.predict(X)
+            )
 
     def test_5xx_free_traffic_keeps_slo_budget(self, server, probe):
         post_json(

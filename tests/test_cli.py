@@ -159,6 +159,37 @@ class TestMonitorUsage:
         assert code == 2
         assert capsys.readouterr().err
 
+    def test_serve_shadow_of_another_schema_is_usage_error(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import numpy as np
+
+        from repro.mtree.tree import ModelTree, ModelTreeConfig
+        from repro.serve.api import ModelServer
+        from repro.serve.registry import ModelRegistry
+
+        def refuse_to_serve(server):
+            raise AssertionError("serve started with a mismatched shadow")
+
+        # Without the refusal the command would serve until signalled.
+        monkeypatch.setattr(ModelServer, "start", refuse_to_serve)
+
+        rng = np.random.default_rng(29)
+        X = rng.random((200, 3))
+        y = np.where(X[:, 0] <= 0.5, X[:, 1], 2.0 + X[:, 2])
+        config = ModelTreeConfig(min_leaf=20, smooth=False)
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.publish(ModelTree(config).fit(X, y, ("p", "q", "r")))
+        registry.publish(
+            ModelTree(config).fit(X, y, ("p", "q", "s")),
+            aliases=("renamed",),
+        )
+        code = main(
+            ["serve", "--registry", str(registry.root), "--shadow", "renamed"]
+        )
+        assert code == 2
+        assert "feature schema" in capsys.readouterr().err
+
 
 class TestObservabilityFlags:
     def test_trace_writes_valid_file(self, capsys, tmp_path):
@@ -600,3 +631,62 @@ class TestPublicApi:
 
         for name in repro.__all__:
             assert getattr(repro, name) is not None
+
+
+class TestServeSignalDrain:
+    def test_sigterm_just_after_a_labelled_predict_drains(self, tmp_path):
+        """SIGTERM as soon as a monitored, event-logging server has
+        answered, while its batcher feeds the hub and arms the event
+        log's flush timer: the server must still drain and exit 0."""
+        import json
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        import time
+        import urllib.request
+        from pathlib import Path
+
+        from repro.serve.registry import ModelRegistry
+
+        from tests.serve.conftest import make_tree
+
+        registry = tmp_path / "registry"
+        ModelRegistry(registry).publish(make_tree())
+        src = Path(__file__).resolve().parents[1] / "src"
+        log = tmp_path / "serve.log"
+        with open(log, "wb") as err:
+            proc = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro.cli", "serve",
+                    "--registry", str(registry), "--port", "0",
+                    "--events", str(tmp_path / "events.jsonl"),
+                ],
+                env={**os.environ, "PYTHONPATH": str(src)},
+                stdout=subprocess.DEVNULL,
+                stderr=err,
+            )
+        try:
+            deadline = time.monotonic() + 30
+            address = None
+            while address is None and time.monotonic() < deadline:
+                assert proc.poll() is None, log.read_text()
+                address = re.search(r"http://[\d.]+:\d+", log.read_text())
+                time.sleep(0.01)
+            assert address, log.read_text()
+            body = {"instances": [[0.5, 0.5, 0.5]] * 4, "actuals": [1.0] * 4}
+            request = urllib.request.Request(
+                address.group(0) + "/v1/models/latest/predict",
+                data=json.dumps(body).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(request, timeout=10) as response:
+                assert response.status == 200
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert "draining" in log.read_text()
