@@ -26,38 +26,35 @@ Quickstart::
     print(tree.root_split_feature(), tree.n_leaves)
 """
 
-from repro.datasets import SampleSet, load_csv, save_csv, train_test_split
-from repro.characterization import (
-    l1_difference,
-    profile_sample_set,
-    similarity_matrix,
-)
-from repro.experiments import (
-    ExperimentConfig,
-    ExperimentContext,
-    run_experiment,
-)
-from repro.mtree import (
-    ModelTree,
-    ModelTreeConfig,
-    render_ascii,
-    render_dot,
-    render_equations,
-    tree_from_dict,
-    tree_to_dict,
-)
-from repro.transfer import (
-    TransferabilityCriteria,
-    assess_transferability,
-    prediction_metrics,
-    two_sample_t_test,
-)
-from repro.workloads import (
-    Suite,
-    SuiteGenerationConfig,
-    spec_cpu2006,
-    spec_omp2001,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "SampleSet": "repro.datasets",
+    "load_csv": "repro.datasets",
+    "save_csv": "repro.datasets",
+    "train_test_split": "repro.datasets",
+    "l1_difference": "repro.characterization",
+    "profile_sample_set": "repro.characterization",
+    "similarity_matrix": "repro.characterization",
+    "ExperimentConfig": "repro.experiments",
+    "ExperimentContext": "repro.experiments",
+    "run_experiment": "repro.experiments",
+    "ModelTree": "repro.mtree",
+    "ModelTreeConfig": "repro.mtree",
+    "render_ascii": "repro.mtree",
+    "render_dot": "repro.mtree",
+    "render_equations": "repro.mtree",
+    "tree_from_dict": "repro.mtree",
+    "tree_to_dict": "repro.mtree",
+    "TransferabilityCriteria": "repro.transfer",
+    "assess_transferability": "repro.transfer",
+    "prediction_metrics": "repro.transfer",
+    "two_sample_t_test": "repro.transfer",
+    "Suite": "repro.workloads",
+    "SuiteGenerationConfig": "repro.workloads",
+    "spec_cpu2006": "repro.workloads",
+    "spec_omp2001": "repro.workloads",
+}
 
 __version__ = "1.0.0"
 
@@ -89,3 +86,5 @@ __all__ = [
     "tree_to_dict",
     "two_sample_t_test",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

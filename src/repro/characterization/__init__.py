@@ -7,25 +7,21 @@ by the L1 (Manhattan) distance between their distributions (Table III,
 Equation 4).
 """
 
-from repro.characterization.profile import (
-    BenchmarkProfile,
-    SuiteProfile,
-    profile_sample_set,
-)
-from repro.characterization.similarity import (
-    SimilarityMatrix,
-    l1_difference,
-    similarity_matrix,
-)
-from repro.characterization.report import (
-    format_profile_table,
-    format_similarity_table,
-)
-from repro.characterization.salience import (
-    SalientFeature,
-    find_salient_features,
-    render_salience,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "BenchmarkProfile": "repro.characterization.profile",
+    "SuiteProfile": "repro.characterization.profile",
+    "profile_sample_set": "repro.characterization.profile",
+    "SimilarityMatrix": "repro.characterization.similarity",
+    "l1_difference": "repro.characterization.similarity",
+    "similarity_matrix": "repro.characterization.similarity",
+    "format_profile_table": "repro.characterization.report",
+    "format_similarity_table": "repro.characterization.report",
+    "SalientFeature": "repro.characterization.salience",
+    "find_salient_features": "repro.characterization.salience",
+    "render_salience": "repro.characterization.salience",
+}
 
 __all__ = [
     "SalientFeature",
@@ -40,3 +36,5 @@ __all__ = [
     "profile_sample_set",
     "similarity_matrix",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

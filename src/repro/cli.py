@@ -33,11 +33,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.context import ExperimentContext
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+# repro.experiments imports the whole battery: commands that build an
+# ExperimentConfig or run experiments import it themselves, so that
+# 'repro serve' and the other commands start without it.
+if TYPE_CHECKING:
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.context import ExperimentContext
 
 __all__ = ["main"]
 
@@ -424,6 +427,8 @@ _SUITES = {"cpu2006": "cpu2006", "omp2001": "omp2001", "cpu2000": "cpu2000"}
 
 def _config_from_args(args) -> ExperimentConfig:
     """The battery configuration implied by --seed/--scale."""
+    from repro.experiments.config import ExperimentConfig
+
     config = ExperimentConfig()
     if args.seed is not None:
         config = ExperimentConfig(
@@ -471,6 +476,7 @@ def _run_subcommand(args) -> Optional[int]:
         if len(words) != 2 or words[1].lower() not in ("cpu2006", "omp2001"):
             print("usage: repro dot <cpu2006|omp2001>", file=sys.stderr)
             return 2
+        from repro.experiments.config import ExperimentConfig
         from repro.experiments.context import ExperimentContext
         from repro.mtree.render import render_dot
 
@@ -482,6 +488,7 @@ def _run_subcommand(args) -> Optional[int]:
         if len(words) != 2 or words[1].lower() not in ("cpu2006", "omp2001"):
             print("usage: repro rules <cpu2006|omp2001>", file=sys.stderr)
             return 2
+        from repro.experiments.config import ExperimentConfig
         from repro.experiments.context import ExperimentContext
         from repro.mtree.rules import render_rules
 
@@ -493,6 +500,7 @@ def _run_subcommand(args) -> Optional[int]:
             print("usage: repro quality <cpu2006|omp2001|cpu2000>",
                   file=sys.stderr)
             return 2
+        from repro.experiments.config import ExperimentConfig
         from repro.pmu.collector import PmuCollector
         from repro.pmu.diagnostics import (
             data_quality_report,
@@ -696,6 +704,7 @@ def _run_subcommand(args) -> Optional[int]:
                   file=sys.stderr)
             return 2
         from repro.datasets import save_arff, save_csv
+        from repro.experiments.config import ExperimentConfig
         from repro.workloads.suite import SuiteGenerationConfig
 
         config = ExperimentConfig().scaled(args.scale)
@@ -907,6 +916,7 @@ def _monitor(args, suites: List[str]) -> int:
         JsonlAudit,
         ModelProfile,
     )
+    from repro.experiments.context import ExperimentContext
     from repro.stats.transfer import SampleMoments
 
     try:
@@ -1411,6 +1421,7 @@ def _describe_benchmark(name: str, args) -> int:
     """Full per-benchmark page: metadata, profile, equations, neighbors."""
     from repro.characterization.profile import profile_sample_set
     from repro.characterization.similarity import similarity_matrix
+    from repro.experiments.config import ExperimentConfig
     from repro.experiments.context import ExperimentContext
     from repro.workloads.catalog import format_benchmark_detail
 
@@ -1456,6 +1467,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     handled = _run_subcommand(args)
     if handled is not None:
         return handled
+
+    from repro.experiments.context import ExperimentContext
+    from repro.experiments.registry import EXPERIMENTS, run_experiment
 
     requested = [e.upper() for e in args.experiments]
 

@@ -351,8 +351,14 @@ class ClusterSupervisor:
     # -- shutdown --------------------------------------------------------
 
     def serve_forever(self) -> None:
-        """Park the CLI thread until :meth:`request_stop`."""
-        self._stop.wait()
+        """Park the CLI thread until :meth:`request_stop`.
+
+        Python runs signal handlers on the main thread, when it next
+        runs bytecode.  A signal another thread took would leave an
+        untimed wait parked for good, so this waits in 0.1 s slices.
+        """
+        while not self._stop.wait(0.1):
+            pass
 
     def request_stop(self) -> None:
         """Signal-handler-safe: unblocks :meth:`serve_forever`."""

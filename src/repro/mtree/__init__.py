@@ -16,17 +16,27 @@ refinements (Wang & Witten), as used by the paper via WEKA:
   (:mod:`repro.mtree.render`), and JSON serialization.
 """
 
-from repro.mtree.compiled import CompiledTree
-from repro.mtree.linear import LinearModel, fit_linear_model, row_dot
-from repro.mtree.tree import LeafNode, ModelTree, ModelTreeConfig, SplitNode
-from repro.mtree.importance import (
-    cpi_attribution,
-    permutation_importance,
-    split_importance,
-)
-from repro.mtree.render import render_ascii, render_dot, render_equations
-from repro.mtree.serialize import tree_from_dict, tree_to_dict
-from repro.mtree.smoothing import compose_smoothed
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "CompiledTree": "repro.mtree.compiled",
+    "LinearModel": "repro.mtree.linear",
+    "fit_linear_model": "repro.mtree.linear",
+    "row_dot": "repro.mtree.linear",
+    "LeafNode": "repro.mtree.tree",
+    "ModelTree": "repro.mtree.tree",
+    "ModelTreeConfig": "repro.mtree.tree",
+    "SplitNode": "repro.mtree.tree",
+    "cpi_attribution": "repro.mtree.importance",
+    "permutation_importance": "repro.mtree.importance",
+    "split_importance": "repro.mtree.importance",
+    "render_ascii": "repro.mtree.render",
+    "render_dot": "repro.mtree.render",
+    "render_equations": "repro.mtree.render",
+    "tree_from_dict": "repro.mtree.serialize",
+    "tree_to_dict": "repro.mtree.serialize",
+    "compose_smoothed": "repro.mtree.smoothing",
+}
 
 __all__ = [
     "CompiledTree",
@@ -47,3 +57,5 @@ __all__ = [
     "tree_from_dict",
     "tree_to_dict",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.datasets.dataset import SampleSet
+from repro.mtree.compiled import CompiledTree
 from repro.mtree.linear import LinearModel, fit_linear_model
 from repro.mtree.pruning import (
     combine_subtree_errors,
@@ -494,8 +495,6 @@ class ModelTree:
         on a fresh tree may each compile it; every one gets a complete
         evaluator, and the last to publish stays cached.
         """
-        from repro.mtree.compiled import CompiledTree
-
         root = self._require_fitted()
         key = np.dtype(dtype)
         built_for, evaluators = self._compiled_cache

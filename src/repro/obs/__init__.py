@@ -41,67 +41,62 @@ Typical CLI-driven use is ``repro E7 --trace trace.jsonl`` followed by
                        metrics=obs.get_registry().as_records())
 """
 
-from repro.obs.events import EventLog, read_events
-from repro.obs.ledger import (
-    CheckConfig,
-    Finding,
-    PerfLedger,
-    check_ledger,
-    headline_metrics,
-)
-from repro.obs.manifest import (
-    MANIFEST_SCHEMA,
-    build_info,
-    build_manifest,
-    manifest_errors,
-    validate_manifest,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Summary,
-    counter,
-    counter_delta,
-    gauge,
-    get_registry,
-    histogram,
-    summary,
-)
-from repro.obs.prof import (
-    Profile,
-    SamplingProfiler,
-    load_profile,
-    render_flamegraph_html,
-    render_profile_table,
-)
-from repro.obs.slo import SloConfig, SloTracker
-from repro.obs.summary import (
-    escape_label_value,
-    format_metrics_table,
-    read_trace,
-    render_prometheus,
-    render_trace_summary,
-)
-from repro.obs.telemetry import (
-    TRACE_HEADER,
-    RequestTrace,
-    TraceView,
-    load_trace,
-    new_trace_id,
-    normalize_trace_id,
-    reconstruct_traces,
-)
-from repro.obs.trace import (
-    Span,
-    Tracer,
-    current_tracer,
-    set_tracer,
-    span,
-    tracing_enabled,
-    use_tracer,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "EventLog": "repro.obs.events",
+    "read_events": "repro.obs.events",
+    "CheckConfig": "repro.obs.ledger",
+    "Finding": "repro.obs.ledger",
+    "PerfLedger": "repro.obs.ledger",
+    "check_ledger": "repro.obs.ledger",
+    "headline_metrics": "repro.obs.ledger",
+    "MANIFEST_SCHEMA": "repro.obs.manifest",
+    "build_info": "repro.obs.manifest",
+    "build_manifest": "repro.obs.manifest",
+    "manifest_errors": "repro.obs.manifest",
+    "validate_manifest": "repro.obs.manifest",
+    "Counter": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "Summary": "repro.obs.metrics",
+    "counter": "repro.obs.metrics",
+    "counter_delta": "repro.obs.metrics",
+    "gauge": "repro.obs.metrics",
+    "get_registry": "repro.obs.metrics",
+    "histogram": "repro.obs.metrics",
+    # The submodule repro.obs.summary shadows metrics' summary(): the
+    # import system binds a submodule on its package, so the eager
+    # imports this table replaces exported the submodule too.
+    "summary": "repro.obs.summary",
+    "Profile": "repro.obs.prof",
+    "SamplingProfiler": "repro.obs.prof",
+    "load_profile": "repro.obs.prof",
+    "render_flamegraph_html": "repro.obs.prof",
+    "render_profile_table": "repro.obs.prof",
+    "SloConfig": "repro.obs.slo",
+    "SloTracker": "repro.obs.slo",
+    "escape_label_value": "repro.obs.summary",
+    "format_metrics_table": "repro.obs.summary",
+    "read_trace": "repro.obs.summary",
+    "render_prometheus": "repro.obs.summary",
+    "render_trace_summary": "repro.obs.summary",
+    "TRACE_HEADER": "repro.obs.telemetry",
+    "RequestTrace": "repro.obs.telemetry",
+    "TraceView": "repro.obs.telemetry",
+    "load_trace": "repro.obs.telemetry",
+    "new_trace_id": "repro.obs.telemetry",
+    "normalize_trace_id": "repro.obs.telemetry",
+    "reconstruct_traces": "repro.obs.telemetry",
+    "Span": "repro.obs.trace",
+    "Tracer": "repro.obs.trace",
+    "current_tracer": "repro.obs.trace",
+    "set_tracer": "repro.obs.trace",
+    "span": "repro.obs.trace",
+    "tracing_enabled": "repro.obs.trace",
+    "use_tracer": "repro.obs.trace",
+}
 
 __all__ = [
     "MANIFEST_SCHEMA",
@@ -154,3 +149,5 @@ __all__ = [
     "tracing_enabled",
     "use_tracer",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

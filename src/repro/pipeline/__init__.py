@@ -17,22 +17,23 @@
   (``repro pipeline run``).
 """
 
-from repro.pipeline.buffer import TrafficBuffer
-from repro.pipeline.gc import collect_garbage
-from repro.pipeline.journal import JOURNAL_SCHEMA, PipelineJournal
-from repro.pipeline.orchestrator import (
-    PipelineConfig,
-    PipelineOrchestrator,
-    PipelineState,
-)
-from repro.pipeline.promotions import (
-    GENESIS_HASH,
-    PROMOTIONS_SCHEMA,
-    PromotionChainError,
-    PromotionLog,
-    perform_rollback,
-)
-from repro.pipeline.replay import run_pipeline_replay
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "TrafficBuffer": "repro.pipeline.buffer",
+    "collect_garbage": "repro.pipeline.gc",
+    "JOURNAL_SCHEMA": "repro.pipeline.journal",
+    "PipelineJournal": "repro.pipeline.journal",
+    "PipelineConfig": "repro.pipeline.orchestrator",
+    "PipelineOrchestrator": "repro.pipeline.orchestrator",
+    "PipelineState": "repro.pipeline.orchestrator",
+    "GENESIS_HASH": "repro.pipeline.promotions",
+    "PROMOTIONS_SCHEMA": "repro.pipeline.promotions",
+    "PromotionChainError": "repro.pipeline.promotions",
+    "PromotionLog": "repro.pipeline.promotions",
+    "perform_rollback": "repro.pipeline.promotions",
+    "run_pipeline_replay": "repro.pipeline.replay",
+}
 
 __all__ = [
     "TrafficBuffer",
@@ -49,3 +50,5 @@ __all__ = [
     "perform_rollback",
     "run_pipeline_replay",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -23,21 +23,23 @@ CLI entry points: ``repro publish``, ``repro serve`` and
 ``repro status`` (see ``docs/SERVING.md``).
 """
 
-from repro.serve.engine import BatchConfig, PredictionEngine
-from repro.serve.api import ApiError, ModelServer
-from repro.serve.publish import publish_from_config
-from repro.serve.registry import (
-    CorruptArtifact,
-    ModelNotFound,
-    ModelRecord,
-    ModelRegistry,
-    RegistryError,
-)
-from repro.serve.status import (
-    build_status_document,
-    render_dashboard_html,
-    render_status_text,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "BatchConfig": "repro.serve.engine",
+    "PredictionEngine": "repro.serve.engine",
+    "ApiError": "repro.serve.api",
+    "ModelServer": "repro.serve.api",
+    "publish_from_config": "repro.serve.publish",
+    "CorruptArtifact": "repro.serve.registry",
+    "ModelNotFound": "repro.serve.registry",
+    "ModelRecord": "repro.serve.registry",
+    "ModelRegistry": "repro.serve.registry",
+    "RegistryError": "repro.serve.registry",
+    "build_status_document": "repro.serve.status",
+    "render_dashboard_html": "repro.serve.status",
+    "render_status_text": "repro.serve.status",
+}
 
 __all__ = [
     "ApiError",
@@ -54,3 +56,5 @@ __all__ = [
     "render_dashboard_html",
     "render_status_text",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -148,6 +148,21 @@ class TestClosedLoop:
         assert window["n"] > 0
         assert window["n_labelled"] == window["n"]
 
+    def test_each_sender_records_a_request_past_the_deadline(self, served):
+        # Both threads start after a 1 us deadline; a burst that
+        # records nothing would abort run_bench's paired comparisons.
+        server, _, _ = served
+        config = LoadConfig(
+            url=server.url,
+            mode="closed",
+            duration_s=1e-6,
+            connections=2,
+            batch_rows=4,
+        )
+        result = run_load(config)
+        assert result.requests >= 2
+        assert result.errors == 0
+
     def test_think_time_caps_throughput(self, served):
         server, _, _ = served
         config = LoadConfig(

@@ -690,3 +690,66 @@ class TestServeSignalDrain:
                 proc.kill()
                 proc.wait()
         assert "draining" in log.read_text()
+
+    def test_sigterm_taken_by_another_thread_drains_a_cluster(self, tmp_path):
+        """``repro serve --workers 2`` parked in the supervisor's wait
+        must still drain when a thread other than the main one takes
+        SIGTERM: the handler runs only once the main thread next runs
+        bytecode, so an untimed wait would never return."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        from repro.serve.registry import ModelRegistry
+
+        from tests.serve.conftest import make_tree
+
+        registry = tmp_path / "registry"
+        ModelRegistry(registry).publish(make_tree())
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = textwrap.dedent(
+            """
+            import signal, sys, threading, time
+            from repro.cli import main
+
+            main_id = threading.main_thread().ident
+
+            def parked():
+                frame = sys._current_frames().get(main_id)
+                while frame is not None:
+                    if frame.f_code.co_name == "serve_forever":
+                        return True
+                    frame = frame.f_back
+                return False
+
+            def kick():
+                while not parked():
+                    time.sleep(0.01)
+                signal.pthread_kill(threading.get_ident(), signal.SIGTERM)
+
+            threading.Thread(target=kick, daemon=True).start()
+            sys.exit(main(["serve", "--registry", sys.argv[1],
+                           "--port", "0", "--workers", "2"]))
+            """
+        )
+        # Its own session, so a hung supervisor goes down with its
+        # forked workers.
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(registry)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "draining workers" in err
