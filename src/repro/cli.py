@@ -1338,7 +1338,7 @@ def _serve(args) -> int:
     import threading
 
     from repro.obs.metrics import get_registry
-    from repro.serve.api import ModelServer
+    from repro.serve.api import ModelServer, pinned_to_one_cpu
     from repro.serve.registry import ModelRegistry
 
     if args.pipeline and args.no_monitor:
@@ -1348,6 +1348,17 @@ def _serve(args) -> int:
             file=sys.stderr,
         )
         return 2
+    profiler = None
+    if args.profile is not None:
+        from repro.obs.prof import SamplingProfiler
+
+        try:
+            # Checked before a socket is bound or a handler installed,
+            # so a bad rate leaves nothing behind.
+            profiler = SamplingProfiler(hz=args.profile_hz)
+        except ValueError as error:
+            print(f"serve: --profile: {error}", file=sys.stderr)
+            return 2
     registry = ModelRegistry(args.registry)
     try:
         server = ModelServer(
@@ -1371,47 +1382,48 @@ def _serve(args) -> int:
     def _drain(signum, frame) -> None:
         stop.set()
 
-    previous = {
-        sig: signal.signal(sig, _drain)
-        for sig in (signal.SIGTERM, signal.SIGINT)
-    }
-    profiler = None
-    if args.profile is not None:
-        from repro.obs.prof import SamplingProfiler
-
+    # Every serving thread (the sampler, the batcher, the HTTP loop,
+    # the handlers, the event-log timer) inherits the mask of the
+    # thread that starts it, so pin before starting any; an in-process
+    # caller gets its own masks back on the way out.
+    with pinned_to_one_cpu(0) as cpu:
+        previous = {
+            sig: signal.signal(sig, _drain)
+            for sig in (signal.SIGTERM, signal.SIGINT)
+        }
         try:
-            profiler = SamplingProfiler(hz=args.profile_hz).start()
-        except ValueError as error:
-            print(f"serve: --profile: {error}", file=sys.stderr)
-            return 2
-    server.start()
-    host, port = server.address
-    print(
-        f"serving {len(registry)} model(s) on http://{host}:{port} "
-        f"(max_batch={batch.max_batch}, max_wait="
-        f"{batch.max_wait_s * 1e3:g}ms; SIGTERM/Ctrl-C drains and exits)",
-        file=sys.stderr,
-    )
-    try:
-        # Python runs signal handlers on this thread, when it next runs
-        # bytecode.  A signal another thread took (one starting up as it
-        # arrived) would leave an untimed wait parked for good.
-        while not stop.wait(0.1):
-            pass
-        print("draining...", file=sys.stderr)
-        server.shutdown()
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-        if profiler is not None:
-            server_profile = profiler.stop()
-            server_profile.save(args.profile)
+            if profiler is not None:
+                profiler.start()
+            server.start()
+            host, port = server.address
+            where = "unpinned" if cpu is None else f"cpu {cpu}"
             print(
-                f"profile written to {args.profile} "
-                f"({server_profile.samples} passes at "
-                f"{server_profile.hz} Hz)",
+                f"serving {len(registry)} model(s) on http://{host}:{port} "
+                f"({where}, max_batch={batch.max_batch}, max_wait="
+                f"{batch.max_wait_s * 1e3:g}ms; SIGTERM/Ctrl-C drains and "
+                "exits)",
                 file=sys.stderr,
             )
+            # Python runs signal handlers on this thread, when it next
+            # runs bytecode.  A signal another thread took (one starting
+            # up as it arrived) would leave an untimed wait parked for
+            # good.
+            while not stop.wait(0.1):
+                pass
+            print("draining...", file=sys.stderr)
+            server.shutdown()
+        finally:
+            for sig, handler in previous.items():
+                signal.signal(sig, handler)
+            if profiler is not None:
+                server_profile = profiler.stop()
+                server_profile.save(args.profile)
+                print(
+                    f"profile written to {args.profile} "
+                    f"({server_profile.samples} passes at "
+                    f"{server_profile.hz} Hz)",
+                    file=sys.stderr,
+                )
     served = get_registry().counter("serve.http.requests").value
     print(f"served {served} request(s); bye", file=sys.stderr)
     return 0
@@ -1498,6 +1510,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
 
+    profiler = None
+    profile = None
+    if args.profile is not None:
+        from repro.obs.prof import SamplingProfiler
+
+        try:
+            # Checked before the tracer is installed, so a bad rate
+            # leaves nothing behind.
+            profiler = SamplingProfiler(hz=args.profile_hz)
+        except ValueError as error:
+            print(f"--profile: {error}", file=sys.stderr)
+            return 2
+
     tracer = None
     if args.trace is not None:
         from repro.obs.trace import Tracer, set_tracer
@@ -1505,19 +1530,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         tracer = Tracer()
         set_tracer(tracer)
 
-    profiler = None
-    profile = None
-    if args.profile is not None:
-        from repro.obs.prof import SamplingProfiler
-
-        try:
-            profiler = SamplingProfiler(hz=args.profile_hz).start()
-        except ValueError as error:
-            print(f"--profile: {error}", file=sys.stderr)
-            return 2
-
     ctx: Optional[ExperimentContext] = None
     try:
+        if profiler is not None:
+            profiler.start()
         if args.jobs is not None and requested:
             from repro.experiments.runner import ParallelRunner
 

@@ -188,9 +188,15 @@ class ClusterSupervisor:
 
         The child inherits the supervisor's listening sockets and its
         pipe end by fork — nothing is pickled, so the sockets stay the
-        same kernel objects across every respawn of this slot.
+        same kernel objects across every respawn of this slot.  It also
+        inherits every supervisor-side pipe end open at the fork, which
+        it closes first: while a copy stays open in a replica, that
+        pipe never reads EOF when the supervisor dies.
         """
         parent_conn, child_conn = self._ctx.Pipe()
+        supervisor_ends = [parent_conn] + [
+            other.conn for other in self._handles if other.conn is not None
+        ]
         spec = WorkerSpec(
             index=handle.index,
             registry_dir=self.config.registry_dir,
@@ -206,7 +212,7 @@ class ClusterSupervisor:
         )
         process = self._ctx.Process(
             target=worker_main,
-            args=(spec, self._sockets, child_conn),
+            args=(spec, self._sockets, child_conn, supervisor_ends),
             name=f"repro-worker-{handle.index}",
         )
         process.start()

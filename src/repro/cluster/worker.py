@@ -7,6 +7,10 @@ inheritance, never pickling, so sockets and callables travel for free.
 
 Per-replica layout:
 
+- **one CPU**: replica ``i`` pins itself with
+  :func:`~repro.serve.api.pin_to_one_cpu` before anything else, so
+  replicas sit on distinct CPUs while there are enough of them and a
+  respawn lands on its slot's CPU (reported as ``replica.cpu``);
 - its **own** :class:`~repro.serve.registry.ModelRegistry` over the
   shared directory and its own batching engine — replicas share
   *artifacts on disk*, never Python objects, which is what makes
@@ -37,7 +41,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.serve.engine import BatchConfig
 
@@ -89,12 +93,29 @@ def _own_socket(
     return own
 
 
-def worker_main(spec: WorkerSpec, sockets: List[socket.socket], conn) -> None:
-    """Run one replica until SIGTERM or a ``stop`` control command."""
+def worker_main(
+    spec: WorkerSpec,
+    sockets: List[socket.socket],
+    conn,
+    supervisor_ends: Sequence[Any],
+) -> None:
+    """Run one replica until SIGTERM or a ``stop`` control command.
+
+    ``supervisor_ends`` are the supervisor's pipe ends this child
+    inherited by fork; they are closed first, so the control pipe
+    reads EOF once the supervisor is gone, however it died.
+    """
+    for end in supervisor_ends:
+        end.close()
+    # Before any thread exists, so every thread of the replica inherits
+    # the mask; slot i keeps its CPU across respawns.
+    from repro.serve.api import ModelServer, pin_to_one_cpu
+
+    cpu = pin_to_one_cpu(spec.index)
+
     # The metrics registry arrived pre-populated from the supervisor's
     # process; zero it so this replica reports only its own traffic.
     from repro.obs.metrics import get_registry
-    from repro.serve.api import ModelServer
     from repro.serve.registry import ModelRegistry
     from repro.cluster.watch import AliasWatcher
 
@@ -112,7 +133,7 @@ def worker_main(spec: WorkerSpec, sockets: List[socket.socket], conn) -> None:
         events_per_pid=True,
         pipeline=spec.pipeline and spec.leader,
         listen_socket=listen_socket,
-        replica={"index": spec.index, "leader": spec.leader},
+        replica={"index": spec.index, "leader": spec.leader, "cpu": cpu},
         **spec.extra_server_kwargs,
     )
     # Bounded drain: never sit in server_close joining an idle

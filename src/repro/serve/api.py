@@ -47,6 +47,13 @@ Shutdown is graceful: :meth:`ModelServer.shutdown` stops accepting
 connections, then drains the engine queue so every accepted predict
 request is answered before the process exits (the CLI wires this to
 SIGTERM/SIGINT).
+
+A serving process runs on one CPU (:func:`pin_to_one_cpu`): one
+interpreter runs Python on one thread at a time, so letting its
+threads spread over several cores buys no parallelism and moves the
+GIL and every shared cache line between cores on each hand-over.  The
+process that owns the server pins itself — ``repro serve`` and each
+cluster replica; a :class:`ModelServer` never pins its host process.
 """
 
 from __future__ import annotations
@@ -57,9 +64,9 @@ import socket
 import threading
 import time
 from collections import deque
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
@@ -93,6 +100,9 @@ __all__ = [
     "OneWriteHandler",
     "DEFAULT_MAX_BODY_BYTES",
     "REPLICA_HEADER",
+    "choose_cpu",
+    "pin_to_one_cpu",
+    "pinned_to_one_cpu",
 ]
 
 DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -739,6 +749,85 @@ class _Handler(OneWriteHandler):
         return 200
 
 
+def choose_cpu(allowed: Iterable[int], index: int) -> int:
+    """The CPU serving process ``index`` takes from the ``allowed`` set.
+
+    Counts down from the highest allowed CPU and wraps, so replicas
+    land on distinct CPUs whenever there are at least as many CPUs as
+    replicas, and a respawned replica returns to its slot's CPU.
+    """
+    cpus = sorted(allowed)
+    return cpus[-1 - index % len(cpus)]
+
+
+def _thread_ids() -> List[int]:
+    """This process's threads: 0 for the calling one, then the others."""
+    me = threading.get_native_id()
+    try:
+        tids = [int(tid) for tid in os.listdir("/proc/self/task")]
+    except OSError:  # no procfs: only the calling thread is reachable
+        tids = []
+    return [0] + [tid for tid in tids if tid != me]
+
+
+def pin_to_one_cpu(index: int) -> Optional[int]:
+    """Confine the process to :func:`choose_cpu`'s CPU of its mask.
+
+    On Linux the mask is per thread and a new thread inherits its
+    creator's, so call this before the process starts its serving
+    threads.  The calling thread is pinned first, then every thread
+    that already exists (numpy's BLAS pool starts at import).  Returns
+    the CPU, or None — and the process runs unpinned — where the
+    platform has no ``sched_setaffinity`` or refuses it.
+    """
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    setaffinity = getattr(os, "sched_setaffinity", None)
+    if getaffinity is None or setaffinity is None:
+        return None
+    try:
+        cpu = choose_cpu(getaffinity(0), index)
+        setaffinity(0, {cpu})
+    except OSError:
+        return None
+    for tid in _thread_ids()[1:]:
+        try:
+            setaffinity(tid, {cpu})
+        except OSError:  # the thread has exited
+            pass
+    return cpu
+
+
+@contextmanager
+def pinned_to_one_cpu(index: int) -> Iterator[Optional[int]]:
+    """:func:`pin_to_one_cpu` for the block; yields its CPU or None.
+
+    On exit each thread that existed on entry gets its own mask back,
+    so an in-process caller (a test running ``repro serve``) is left
+    as it was.
+    """
+    masks = {}
+    if hasattr(os, "sched_getaffinity"):
+        for tid in _thread_ids():
+            try:
+                masks[tid] = os.sched_getaffinity(tid)
+            except OSError:  # the thread has exited
+                pass
+    cpu = pin_to_one_cpu(index)
+    try:
+        yield cpu
+    finally:
+        if cpu is not None:
+            # Only threads still in this process: the tid of one that
+            # has exited may name another process's thread by now.
+            alive = set(_thread_ids())
+            for tid, mask in masks.items():
+                if tid in alive:
+                    try:
+                        os.sched_setaffinity(tid, mask)
+                    except OSError:  # exited since the check
+                        pass
+
+
 class ModelServer:
     """The serving process: registry + engine + threaded HTTP front end.
 
@@ -789,11 +878,12 @@ class ModelServer:
         already-listening socket the supervisor created before forking
         (:mod:`repro.cluster.sockets` does any ``SO_REUSEPORT`` binding;
         the server takes ownership and closes it on shutdown);
-        ``replica`` (``{"index", "pid", "leader"}``) tags
-        every response with an ``X-Repro-Replica`` header and shows up
-        in ``/healthz`` and ``/v1/status``; ``events_per_pid`` gives
-        the event log a per-PID filename so sibling workers sharing
-        ``events_path`` never interleave writes.
+        ``replica`` (``{"index", "leader", "cpu"}``, plus the ``pid``
+        the server adds) tags every response with an
+        ``X-Repro-Replica`` header and shows up in ``/healthz`` and
+        ``/v1/status``; ``events_per_pid`` gives the event log a
+        per-PID filename so sibling workers sharing ``events_path``
+        never interleave writes.
         """
         self.registry = registry
         if drift is None and monitor:

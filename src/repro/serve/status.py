@@ -99,9 +99,9 @@ def build_status_document(
     document degrades gracefully: no drift hub reports
     ``monitoring: false``, no event log reports ``enabled: false``,
     no pipeline orchestrator reports ``armed: false``.  ``replica``
-    (``{"index", "pid", "leader"}``) identifies this process inside a
-    :mod:`repro.cluster` group; single-process servers omit it and the
-    document carries ``"replica": null``.
+    (``{"index", "pid", "leader", "cpu"}``) identifies this process
+    inside a :mod:`repro.cluster` group; single-process servers omit it
+    and the document carries ``"replica": null``.
     """
     now = time.time()
     records = get_registry().as_records()

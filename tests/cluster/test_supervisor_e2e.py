@@ -16,14 +16,19 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
+import subprocess
+import sys
 import time
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterSupervisor
+from repro.serve.api import choose_cpu
 
 from .conftest import make_tree
 
@@ -315,3 +320,141 @@ class TestShutdown:
         assert records
         stamps = [record["unix"] for record in records]
         assert stamps == sorted(stamps)
+
+
+def _pinned_cpu(pid: int) -> int:
+    """The one CPU every thread of ``pid`` allows (asserted)."""
+    masks = set()
+    for tid in os.listdir(f"/proc/{pid}/task"):
+        try:
+            masks.add(frozenset(os.sched_getaffinity(int(tid))))
+        except ProcessLookupError:  # the thread exited meanwhile
+            continue
+    assert len(masks) == 1, masks
+    (mask,) = masks
+    assert len(mask) == 1, mask
+    return next(iter(mask))
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity")
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="replica pinning needs sched_setaffinity and 2+ CPUs",
+)
+class TestAffinity:
+    def test_replicas_sit_on_distinct_cpus_and_report_them(
+        self, published
+    ):
+        registry, _, _ = published
+        allowed = set(os.sched_getaffinity(0))
+        with _cluster(registry) as supervisor:
+            _wait_responsive(supervisor)
+            cpus = [
+                _pinned_cpu(handle.process.pid)
+                for handle in supervisor._handles
+            ]
+            assert cpus == [choose_cpu(allowed, i) for i in (0, 1)]
+            assert len(set(cpus)) == 2
+            reported = {}
+            for _ in range(_PROBE_REQUESTS):
+                with urllib.request.urlopen(
+                    f"{supervisor.url}/healthz", timeout=10
+                ) as response:
+                    replica = json.loads(response.read())["replica"]
+                reported[replica["index"]] = replica["cpu"]
+                if len(reported) == 2:
+                    break
+            assert reported == {0: cpus[0], 1: cpus[1]}
+            # The supervisor itself stays unpinned.
+            assert set(os.sched_getaffinity(0)) == allowed
+
+    def test_respawned_replica_returns_to_its_slots_cpu(self, published):
+        registry, _, _ = published
+        with _cluster(registry) as supervisor:
+            _wait_responsive(supervisor)
+            old_pid = supervisor._handles[1].process.pid
+            cpu = _pinned_cpu(old_pid)
+            os.kill(old_pid, signal.SIGKILL)
+            deadline = time.monotonic() + 15.0
+            while time.monotonic() < deadline:
+                process = supervisor._handles[1].process
+                if process.pid != old_pid and process.is_alive():
+                    break
+                time.sleep(0.05)
+            else:
+                pytest.fail("supervisor never restarted the killed worker")
+            _wait_responsive(supervisor)
+            assert _pinned_cpu(supervisor._handles[1].process.pid) == cpu
+
+
+def _exited(pid: int) -> bool:
+    """Gone, or a zombie nobody has reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+    return state in ("Z", "X")
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="reads /proc"
+)
+class TestSupervisorKilled:
+    def test_replicas_exit_when_the_supervisor_is_sigkilled(
+        self, published, tmp_path
+    ):
+        """A supervisor killed with SIGKILL runs no shutdown: each
+        replica must notice on its own, by EOF on its control pipe."""
+        registry, _, _ = published
+        src = Path(__file__).resolve().parents[2] / "src"
+        log = tmp_path / "cluster.log"
+        with open(log, "wb") as err:
+            # Its own session, so cleanup can take down every replica.
+            proc = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro.cli", "serve",
+                    "--registry", str(registry.root), "--port", "0",
+                    "--workers", "2", "--no-monitor", "--admin-port", "0",
+                ],
+                env={**os.environ, "PYTHONPATH": str(src)},
+                stdout=subprocess.DEVNULL,
+                stderr=err,
+                start_new_session=True,
+            )
+        try:
+            deadline = time.monotonic() + 30
+            admin = None
+            while admin is None and time.monotonic() < deadline:
+                assert proc.poll() is None, log.read_text()
+                admin = re.search(r"admin (http://[\d.]+:\d+)",
+                                  log.read_text())
+                time.sleep(0.02)
+            assert admin, log.read_text()
+            pids = []
+            while len(pids) < 2 and time.monotonic() < deadline:
+                with urllib.request.urlopen(
+                    admin.group(1) + "/v1/status", timeout=10
+                ) as response:
+                    document = json.loads(response.read())
+                pids = [
+                    entry["status"]["replica"]["pid"]
+                    for entry in document["replicas"]
+                    if entry.get("status")
+                ]
+                time.sleep(0.05)
+            assert len(pids) == 2, document
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(10)
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                if all(_exited(pid) for pid in pids):
+                    break
+                time.sleep(0.05)
+            assert [pid for pid in pids if not _exited(pid)] == []
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(10)

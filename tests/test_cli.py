@@ -465,6 +465,50 @@ class TestProfileVerbs:
         )
         assert code == 2
 
+    def test_bad_hz_leaves_no_tracer_installed(self, capsys, tmp_path):
+        from repro.obs.trace import current_tracer, set_tracer
+
+        try:
+            code = main(
+                ["E1", "--trace", str(tmp_path / "t.jsonl"),
+                 "--profile", str(tmp_path / "p.json"), "--profile-hz", "0"]
+            )
+            assert code == 2
+            assert current_tracer() is None
+            assert not (tmp_path / "t.jsonl").exists()
+        finally:
+            set_tracer(None)  # a leaked tracer would trace later tests
+
+    def test_serve_bad_hz_leaves_no_handler_or_socket(
+        self, capsys, tmp_path
+    ):
+        import signal
+        import socket
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        before = {
+            sig: signal.getsignal(sig)
+            for sig in (signal.SIGTERM, signal.SIGINT)
+        }
+        try:
+            code = main(
+                ["serve", "--registry", str(tmp_path / "registry"),
+                 "--port", str(port), "--profile", str(tmp_path / "p.json"),
+                 "--profile-hz", "0"]
+            )
+            assert code == 2
+            assert "--profile" in capsys.readouterr().err
+            assert {sig: signal.getsignal(sig) for sig in before} == before
+        finally:
+            # A leaked handler would swallow Ctrl-C for the whole run.
+            for sig, handler in before.items():
+                signal.signal(sig, handler)
+        # Nothing is left listening on the requested port.
+        with socket.socket() as again:
+            again.bind(("127.0.0.1", port))
+
 
 class TestPerfVerbs:
     def test_perf_usage(self, capsys):
