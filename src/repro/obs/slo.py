@@ -16,8 +16,9 @@ request outcome into budget arithmetic:
 Every :meth:`SloTracker.record` updates gauges in the process-wide
 metrics registry (``serve.slo.latency.burn_rate`` etc.), so ``/metrics``
 scrapes and the ``/dashboard`` page read the same numbers.  The
-tracker itself is a few counters and two bounded deques — cheap enough
-to sit on the request path unconditionally.
+tracker itself is a few counters and two bounded deques, each with a
+running count of its bad outcomes — cheap enough to sit on the request
+path unconditionally.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ class _Objective:
         "total",
         "bad",
         "recent",
+        "recent_bad",
         "_g_remaining",
         "_g_burn",
     )
@@ -81,14 +83,20 @@ class _Objective:
         self.total = 0
         self.bad = 0
         self.recent: Deque[bool] = deque(maxlen=window)
+        #: ``recent.count(False)``, kept as outcomes enter and leave.
+        self.recent_bad = 0
         self._g_remaining = gauge(f"serve.slo.{name}.budget_remaining")
         self._g_burn = gauge(f"serve.slo.{name}.burn_rate")
 
     def record(self, good: bool) -> None:
         self.total += 1
+        recent = self.recent
+        if len(recent) == recent.maxlen and not recent[0]:
+            self.recent_bad -= 1  # the bad outcome this append evicts
+        recent.append(good)
         if not good:
             self.bad += 1
-        self.recent.append(good)
+            self.recent_bad += 1
         self._g_remaining.set(self._budget_remaining())
         self._g_burn.set(self._burn_rate())
 
@@ -106,8 +114,7 @@ class _Objective:
     def _burn_rate(self) -> float:
         if not self.recent:
             return 0.0
-        recent_bad = self.recent.count(False) / len(self.recent)
-        return recent_bad / self.allowance
+        return self.recent_bad / len(self.recent) / self.allowance
 
     def report(self) -> Dict[str, Any]:
         return {

@@ -44,7 +44,7 @@ import re
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.obs.events import EventLog, read_events
 
@@ -107,7 +107,7 @@ class RequestTrace:
     cross-thread synchronization guards the stage list.
     """
 
-    __slots__ = ("trace_id", "sink", "t0", "start_unix", "stages")
+    __slots__ = ("trace_id", "sink", "t0", "start_unix", "_marks")
 
     def __init__(
         self,
@@ -120,7 +120,7 @@ class RequestTrace:
         self.sink = sink
         self.t0 = time.perf_counter() if t0 is None else t0
         self.start_unix = time.time() if start_unix is None else start_unix
-        self.stages: List[Dict[str, Any]] = []
+        self._marks: List[Tuple[str, float, float, Dict[str, Any]]] = []
 
     def child(self) -> "RequestTrace":
         """A trace for another thread, on the same timeline and sink."""
@@ -136,18 +136,31 @@ class RequestTrace:
     def add_stage(
         self, name: str, start_pc: float, end_pc: float, **payload: Any
     ) -> None:
-        """Record a stage from raw ``perf_counter`` readings."""
-        # Offsets round to 100 ns: far below timer noise, and short
-        # decimals serialize measurably faster than full-width floats
-        # on a path budgeted in tens of microseconds.
-        stage: Dict[str, Any] = {
-            "stage": name,
-            "start_s": round(start_pc - self.t0, 7),
-            "duration_s": round(max(0.0, end_pc - start_pc), 7),
-        }
-        if payload:
-            stage.update(payload)
-        self.stages.append(stage)
+        """Record a stage from raw ``perf_counter`` readings.
+
+        Only the readings are kept: :attr:`stages` builds the documents
+        when :meth:`emit` runs, after the response is written, so the
+        steps between stages stay as short as the stages allow.
+        """
+        self._marks.append((name, start_pc, end_pc, payload))
+
+    @property
+    def stages(self) -> List[Dict[str, Any]]:
+        """The recorded stages as offsets against ``t0``, in order."""
+        stages = []
+        for name, start_pc, end_pc, payload in self._marks:
+            # Offsets round to 100 ns: far below timer noise, and short
+            # decimals serialize measurably faster than full-width
+            # floats.
+            stage: Dict[str, Any] = {
+                "stage": name,
+                "start_s": round(start_pc - self.t0, 7),
+                "duration_s": round(max(0.0, end_pc - start_pc), 7),
+            }
+            if payload:
+                stage.update(payload)
+            stages.append(stage)
+        return stages
 
     @contextmanager
     def stage(self, name: str, **payload: Any) -> Iterator[None]:

@@ -1,6 +1,6 @@
 """Threaded HTTP/JSON API over the registry and prediction engine.
 
-Stdlib only (:mod:`http.server`): each connection is handled on its own
+:mod:`http.server` front end: each connection is handled on its own
 thread by ``ThreadingHTTPServer`` while all predictions funnel through
 the engine's serialized flushes — many slow clients, one fast
 vectorized compute path.  A predict that finds the engine idle flushes
@@ -43,6 +43,15 @@ before being read into memory (and counted on
 
 Every response leaves in one socket write (:class:`OneWriteHandler`).
 
+Request bodies are parsed by ``orjson``; a body it refuses (``NaN`` or
+``Infinity`` literals, a number past a double, a BOM, UTF-16/32, a lone
+surrogate, malformed JSON) goes to :func:`json.loads`, which accepts or
+refuses it with the message it always gave.  A predict response is
+written by ``orjson`` too — compact, with shortest round-trip floats,
+and always finite (:meth:`_Handler._predict` refuses a non-finite
+prediction).  Every other response is written by :func:`json.dumps`,
+because those documents may hold NaN, which ``orjson`` writes as null.
+
 Shutdown is graceful: :meth:`ModelServer.shutdown` stops accepting
 connections, then drains the engine queue so every accepted predict
 request is answered before the process exits (the CLI wires this to
@@ -70,6 +79,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
+import orjson
 
 from repro.obs.events import EventLog
 from repro.obs.manifest import build_info
@@ -258,6 +268,16 @@ def _instances_to_matrix(
         raise ApiError(
             400, "invalid_instances", "'instances' must be a non-empty list"
         )
+    # A 2-D result of the right width means every row is an array of
+    # the right length: exactly what the row walk would have accepted,
+    # and the same matrix.  Anything else walks, for its message.
+    try:
+        X = np.asarray(instances, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    else:
+        if X.ndim == 2 and X.shape[1] == len(feature_names):
+            return X
     rows = []
     index = {name: i for i, name in enumerate(feature_names)}
     for row_number, row in enumerate(instances):
@@ -293,6 +313,12 @@ def _instances_to_matrix(
         raise ApiError(
             400, "invalid_instances", f"non-numeric instance value: {error}"
         ) from None
+    except OverflowError as error:
+        # An integer literal past float64's range (json.loads keeps it
+        # as an int; the conversion here is where it fails).
+        raise ApiError(
+            400, "invalid_instances", f"instance value out of range: {error}"
+        ) from None
 
 
 def _decode_actuals(
@@ -314,7 +340,14 @@ def _decode_actuals(
         if value is None:
             decoded[i] = np.nan
         elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            decoded[i] = float(value)
+            try:
+                decoded[i] = float(value)
+            except OverflowError as error:
+                raise ApiError(
+                    400,
+                    "invalid_actuals",
+                    f"actuals[{i}] is out of range: {error}",
+                ) from None
         else:
             raise ApiError(
                 400,
@@ -322,6 +355,21 @@ def _decode_actuals(
                 f"actuals[{i}] must be a number or null, got {value!r}",
             )
     return decoded
+
+
+def _loads(raw: bytes) -> Any:
+    """Parse a request body: ``orjson``, then :func:`json.loads` for
+    what it refuses (NaN, a BOM, UTF-16, malformed JSON, ...)."""
+    try:
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        pass
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as error:
+        raise ApiError(
+            400, "invalid_json", f"request body is not valid JSON: {error}"
+        ) from None
 
 
 def _json(payload: Any) -> bytes:
@@ -429,13 +477,7 @@ class _Handler(OneWriteHandler):
                 f"request body of {length} bytes exceeds the "
                 f"{limit}-byte limit",
             )
-        raw = self.rfile.read(length)
-        try:
-            body = json.loads(raw)
-        except json.JSONDecodeError as error:
-            raise ApiError(
-                400, "invalid_json", f"request body is not valid JSON: {error}"
-            ) from None
+        body = _loads(self.rfile.read(length))
         if not isinstance(body, dict):
             raise ApiError(
                 400, "invalid_json", "request body must be a JSON object"
@@ -459,7 +501,6 @@ class _Handler(OneWriteHandler):
             if server.telemetry is not None
             else None
         )
-        endpoint = _endpoint_label(self.path)
         with server.stats_lock:
             _HTTP_REQUESTS.inc()
         status = 500
@@ -489,6 +530,8 @@ class _Handler(OneWriteHandler):
             status = self._send_error_envelope(500, "internal", str(error))
         finally:
             duration = time.perf_counter() - start
+            # Labelling is bookkeeping: it waits until the response is out.
+            endpoint = _endpoint_label(self.path)
             with server.stats_lock:
                 _HTTP_LATENCY.observe(duration)
                 if 200 <= status < 300:
@@ -726,9 +769,22 @@ class _Handler(OneWriteHandler):
                 trace=trace,
             )
             predict_s = time.perf_counter() - t_predict
-            # Recording the call is part of answering it, so the respond
-            # stage times it rather than leaving a gap in the timeline.
+            # Checking and recording the call are part of answering it,
+            # so the respond stage times them rather than leaving a gap
+            # in the timeline.
             with trace.stage("respond") if trace else nullcontext():
+                # Finite input can still extrapolate past float64 (every
+                # feature at 1e308); a NaN or inf answer is refused, so
+                # the response below is always strict JSON.
+                finite = np.isfinite(predictions)
+                if not finite.all():
+                    bad_rows = np.flatnonzero(~finite)
+                    raise ApiError(
+                        400,
+                        "invalid_input",
+                        f"predictions are NaN/Inf in {bad_rows.size} "
+                        f"row(s) (first bad row: {int(bad_rows[0])})",
+                    )
                 with server.stats_lock:
                     _PREDICTIONS.inc(X.shape[0])
                     summary(
@@ -737,7 +793,7 @@ class _Handler(OneWriteHandler):
                     ).observe(predict_s)
                 self._send(
                     200,
-                    _json(
+                    orjson.dumps(
                         {
                             "model_id": record.model_id,
                             "n": int(X.shape[0]),

@@ -1,5 +1,6 @@
 """SLO tracker: error-budget arithmetic, burn rates, 5xx handling."""
 
+import numpy as np
 import pytest
 
 from repro.obs.metrics import get_registry
@@ -149,3 +150,66 @@ class TestGaugeExport:
             registry.gauge("serve.slo.availability.budget_remaining").value
             == pytest.approx(1.0)
         )
+
+
+class TestRunningCount:
+    """The burn window keeps its bad count as outcomes enter and leave;
+    every report must equal one recounted from the outcome stream."""
+
+    @staticmethod
+    def _recount(config, outcomes):
+        def objective(target, good):
+            allowance = 1.0 - target
+            bad = good.count(False)
+            recent = good[-config.burn_window:]
+            bad_fraction = bad / len(good) if good else 0.0
+            return {
+                "target": target,
+                "events": len(good),
+                "bad_events": bad,
+                "bad_fraction": bad_fraction,
+                "budget_remaining": 1.0 - bad_fraction / allowance,
+                "burn_rate": (
+                    recent.count(False) / len(recent) / allowance
+                    if recent
+                    else 0.0
+                ),
+                "burn_window": config.burn_window,
+            }
+
+        served = [latency for latency, status in outcomes if status < 500]
+        return {
+            "latency": {
+                "threshold_s": config.latency_threshold_s,
+                **objective(
+                    config.latency_target,
+                    [s <= config.latency_threshold_s for s in served],
+                ),
+            },
+            "availability": objective(
+                config.availability_target,
+                [status < 500 for _, status in outcomes],
+            ),
+        }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_report_equals_a_recount_as_the_window_wraps(self, seed):
+        rng = np.random.default_rng(seed)
+        config = SloConfig(latency_threshold_s=0.1, burn_window=37)
+        tracker = SloTracker(config)
+        assert tracker.report() == self._recount(config, [])
+        outcomes = []
+        # Bursts of mostly-bad and mostly-good traffic, over eight
+        # windows' worth of requests.
+        for _ in range(16):
+            p_bad = rng.choice([0.0, 0.1, 0.6, 1.0])
+            for _ in range(int(rng.integers(5, 40))):
+                latency = 0.5 if rng.random() < p_bad else 0.01
+                failed = rng.random() < p_bad
+                status = int(rng.choice([404, 503])) if failed else 200
+                tracker.record(latency, status)
+                outcomes.append((latency, status))
+                assert tracker.report() == self._recount(config, outcomes)
+        assert len(outcomes) > 4 * config.burn_window
+        burn = get_registry().gauge("serve.slo.availability.burn_rate")
+        assert burn.value == tracker.report()["availability"]["burn_rate"]

@@ -377,6 +377,38 @@ class TestValidation:
         assert status == 400
         assert body["error"]["code"] == "invalid_input"
 
+    def test_non_finite_prediction_400(self, server, tiny_tree):
+        # Finite input the model extrapolates past float64: the answer
+        # would carry -inf, which is not JSON.
+        rows = [[0.5, 0.5, 0.5], [-1e308, -1e308, -1e308]]
+        assert not np.isfinite(tiny_tree.predict(np.asarray(rows))).all()
+        status, body = post_json(
+            server, "/v1/models/latest/predict", {"instances": rows}
+        )
+        assert status == 400
+        assert body["error"]["code"] == "invalid_input"
+        assert "first bad row: 1" in body["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "row", [[10**400, 0.5, 0.5], {"p": 0.5, "q": -(10**400), "r": 0.5}]
+    )
+    def test_integer_past_float64_in_instances_400(self, server, row):
+        status, body = post_json(
+            server, "/v1/models/latest/predict", {"instances": [row]}
+        )
+        assert status == 400
+        assert body["error"]["code"] == "invalid_instances"
+
+    def test_integer_past_float64_in_actuals_400(self, server):
+        status, body = post_json(
+            server,
+            "/v1/models/latest/predict",
+            {"instances": [[0.1, 0.1, 0.1]], "actuals": [10**400]},
+        )
+        assert status == 400
+        assert body["error"]["code"] == "invalid_actuals"
+        assert "actuals[0]" in body["error"]["message"]
+
     def test_empty_instances_400(self, server):
         status, body = post_json(
             server, "/v1/models/latest/predict", {"instances": []}

@@ -124,6 +124,61 @@ class TestServingImports:
         assert result == {"status": 200, "new": []}
 
 
+class TestOrjsonBoundary:
+    """``orjson`` is the predict path's codec and nothing else's: the
+    battery's commands never load it, so their start-up time and peak
+    RSS cannot move, and ``repro serve`` loads it before it answers."""
+
+    @pytest.mark.parametrize(
+        "argv", [["list"], ["all", "--scale", "0.05"]], ids=["list", "all"]
+    )
+    def test_battery_commands_do_not_load_it(self, argv):
+        result = _run(
+            """
+            import contextlib, io, json, sys
+            from repro.cli import main
+
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(sys.argv[1:])
+            print(json.dumps({"code": code,
+                              "orjson": "orjson" in sys.modules}))
+            """,
+            *argv,
+        )
+        assert result == {"code": 0, "orjson": False}
+
+    def test_serve_loads_it_before_the_first_request(self, tmp_path):
+        from repro.serve.registry import ModelRegistry
+
+        from tests.serve.conftest import make_tree
+
+        registry = tmp_path / "registry"
+        ModelRegistry(registry).publish(make_tree())
+        result = _run(
+            """
+            import json, os, signal, sys, threading, time
+            from repro.cli import main
+
+            seen = {"before": "orjson" in sys.modules}
+
+            def kick():
+                # The drain handler is bound once the server is built;
+                # no request has been sent, and none will be.
+                while signal.getsignal(signal.SIGTERM) is signal.SIG_DFL:
+                    time.sleep(0.01)
+                seen["serving"] = "orjson" in sys.modules
+                os.kill(os.getpid(), signal.SIGTERM)
+
+            threading.Thread(target=kick, daemon=True).start()
+            code = main(["serve", "--registry", sys.argv[1], "--port", "0",
+                         "--no-monitor"])
+            print(json.dumps({"code": code, **seen}))
+            """,
+            str(registry),
+        )
+        assert result == {"code": 0, "before": False, "serving": True}
+
+
 def _defined_in(value, name: str) -> bool:
     """Whether ``value`` is the object the module defining it holds."""
     if isinstance(value, types.ModuleType):
